@@ -27,7 +27,9 @@
  * Self-gates (the bench fails if placement regresses):
  *   - >=1 loop-invariant hoist on at least 4 of the ten programs;
  *   - total place cycles strictly below total elim cycles;
- *   - verifier accepts every transformed unit.
+ *   - verifier accepts every transformed unit;
+ *   - the elim and place rungs ran on the translated backend (the
+ *     default Auto policy applies to rewritten units too).
  *
  * Results land in BENCH_checkelim.json: one grid cell per program
  * with per-rung cycles, hoist counts, and verifier-proven check
@@ -59,13 +61,15 @@ main()
 
     Json grid = Json::array();
     bool allIdentical = true, allReduced = true, lintClean = true;
-    bool allVerified = true;
+    bool allVerified = true, allTranslated = true;
     int programsWithHoists = 0;
     uint64_t goldenTotal = 0, elimTotal = 0, placeTotal = 0;
 
-    std::printf("%-8s %9s %6s %6s %12s %12s %12s %7s\n", "program",
+    // backend: the tier each rung ran on, golden/elim/place
+    // (T = translated, I = interpreter).
+    std::printf("%-8s %9s %6s %6s %12s %12s %12s %7s %7s\n", "program",
                 "checks", "hoist", "sunk", "golden", "elim", "place",
-                "place%");
+                "place%", "backend");
     for (const auto &bp : benchmarkPrograms()) {
         RunRequest req;
         req.source = bp.source;
@@ -139,6 +143,21 @@ main()
                         ver.render().c_str());
         }
 
+        // The rewritten rungs run under the default Auto policy, so
+        // they should land on the translated backend like golden.
+        auto tier = [](const RunReport &r) {
+            return r.backend == Backend::Translated ? 'T' : 'I';
+        };
+        const std::string backends{tier(golden), '/', tier(elimRun), '/',
+                                   tier(placeRun)};
+        for (const RunReport *r : {&elimRun, &placeRun})
+            if (r->backend != Backend::Translated || r->backendFellBack) {
+                allTranslated = false;
+                std::printf("FAIL  %s %s rung ran on the %s: %s\n",
+                            bp.name.c_str(), r == &elimRun ? "elim" : "place",
+                            backendName(r->backend), r->backendNote.c_str());
+            }
+
         const bool identical =
             elimRun.result.output == golden.result.output &&
             elimRun.result.exitValue == golden.result.exitValue &&
@@ -166,14 +185,14 @@ main()
                                static_cast<double>(pCycles)) /
                           static_cast<double>(gCycles)
                     : 0.0;
-        std::printf("%-8s %4d/%4d %6d %6d %12llu %12llu %12llu %6.2f%%%s\n",
-                    bp.name.c_str(), pst.elim.checksEliminated,
-                    pst.elim.checksConsidered, pst.hoisted,
-                    pst.sunkInstructions,
-                    static_cast<unsigned long long>(gCycles),
-                    static_cast<unsigned long long>(eCycles),
-                    static_cast<unsigned long long>(pCycles), placePct,
-                    identical ? "" : "  OUTPUT DIFFERS");
+        std::printf(
+            "%-8s %4d/%4d %6d %6d %12llu %12llu %12llu %6.2f%% %7s%s\n",
+            bp.name.c_str(), pst.elim.checksEliminated,
+            pst.elim.checksConsidered, pst.hoisted, pst.sunkInstructions,
+            static_cast<unsigned long long>(gCycles),
+            static_cast<unsigned long long>(eCycles),
+            static_cast<unsigned long long>(pCycles), placePct,
+            backends.c_str(), identical ? "" : "  OUTPUT DIFFERS");
 
         Json cell = Json::object();
         cell.set("program", bp.name);
@@ -203,6 +222,9 @@ main()
         cell.set("optimizedCycles", static_cast<int64_t>(pCycles));
         cell.set("cycleReductionPct", placePct);
         cell.set("outputIdentical", identical);
+        cell.set("goldenBackend", backendName(golden.backend));
+        cell.set("elimBackend", backendName(elimRun.backend));
+        cell.set("placeBackend", backendName(placeRun.backend));
         cell.set("lintErrors", lint.errors);
         cell.set("lintWarnings", lint.warnings);
         grid.push(std::move(cell));
@@ -236,12 +258,14 @@ main()
                 allVerified ? "PASS" : "FAIL");
     std::printf("%s  mxlint reports zero errors on every unit\n",
                 lintClean ? "PASS" : "FAIL");
+    std::printf("%s  rewritten rungs ran translated\n",
+                allTranslated ? "PASS" : "FAIL");
 
     bool wrote = writeBenchJson("checkelim",
                                 benchDoc("checkelim", std::move(grid),
                                          &eng));
     return (allIdentical && allReduced && enoughHoists && beatsElim &&
-            allVerified && lintClean && wrote)
+            allVerified && lintClean && allTranslated && wrote)
                ? 0
                : 1;
 }

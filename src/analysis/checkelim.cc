@@ -4,6 +4,7 @@
 #include "analysis/tagflow.h"
 #include "machine/machine.h"
 #include "support/format.h"
+#include "support/owner_memo.h"
 #include "support/panic.h"
 
 namespace mxl {
@@ -233,11 +234,20 @@ std::shared_ptr<const CompiledUnit>
 checkElimTransform(const std::shared_ptr<const CompiledUnit> &unit,
                    ElimStats *stats)
 {
-    auto copy = std::make_shared<CompiledUnit>(cloneUnit(*unit));
-    ElimStats st = eliminateRedundantChecks(*copy);
+    struct Rewrite
+    {
+        std::shared_ptr<const CompiledUnit> unit;
+        ElimStats stats;
+    };
+    static OwnerMemo<const CompiledUnit, Rewrite> memo;
+    Rewrite r = memo.get(unit, [&] {
+        auto copy = std::make_shared<CompiledUnit>(cloneUnit(*unit));
+        ElimStats st = eliminateRedundantChecks(*copy);
+        return Rewrite{std::move(copy), std::move(st)};
+    });
     if (stats)
-        *stats = st;
-    return copy;
+        *stats = r.stats;
+    return r.unit;
 }
 
 } // namespace mxl

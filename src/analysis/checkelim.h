@@ -58,6 +58,14 @@ ElimStats eliminateRedundantChecks(CompiledUnit &unit);
 /**
  * Hooks::unitTransform adapter (core/engine.h): clone @p unit, eliminate,
  * return the optimized copy. @p stats (optional) receives the counts.
+ *
+ * Memoized per input unit *object* (support/owner_memo.h): every call
+ * with the same object returns the same optimized unit and the same
+ * stats, computed once even under concurrent first calls, so the
+ * engine verifies and translates that output once too. The memo holds
+ * the input only weakly and drops an entry (releasing its output) on
+ * the first call after the input dies. The input must be immutable:
+ * a unit changed after its first call keeps its old rewrite.
  */
 std::shared_ptr<const CompiledUnit>
 checkElimTransform(const std::shared_ptr<const CompiledUnit> &unit,

@@ -9,6 +9,7 @@
 #include "analysis/tagflow.h"
 #include "machine/machine.h"
 #include "support/format.h"
+#include "support/owner_memo.h"
 #include "support/panic.h"
 
 namespace mxl {
@@ -820,11 +821,20 @@ std::shared_ptr<const CompiledUnit>
 checkPlaceTransform(const std::shared_ptr<const CompiledUnit> &unit,
                     PlaceStats *stats)
 {
-    auto copy = std::make_shared<CompiledUnit>(cloneUnit(*unit));
-    PlaceStats st = placeChecks(*copy);
+    struct Rewrite
+    {
+        std::shared_ptr<const CompiledUnit> unit;
+        PlaceStats stats;
+    };
+    static OwnerMemo<const CompiledUnit, Rewrite> memo;
+    Rewrite r = memo.get(unit, [&] {
+        auto copy = std::make_shared<CompiledUnit>(cloneUnit(*unit));
+        PlaceStats st = placeChecks(*copy);
+        return Rewrite{std::move(copy), std::move(st)};
+    });
     if (stats)
-        *stats = st;
-    return copy;
+        *stats = r.stats;
+    return r.unit;
 }
 
 // ---------------------------------------------------------------------

@@ -84,7 +84,11 @@ PlaceStats placeChecks(CompiledUnit &unit);
 
 /**
  * Hooks::unitTransform adapter (core/engine.h): clone @p unit, run
- * placeChecks, return the optimized copy.
+ * placeChecks, return the optimized copy. @p stats (optional) receives
+ * the counts. Memoized per input unit object exactly like
+ * checkElimTransform (same output and stats for the same object,
+ * computed once, released after the input dies); the input must be
+ * immutable.
  */
 std::shared_ptr<const CompiledUnit>
 checkPlaceTransform(const std::shared_ptr<const CompiledUnit> &unit,

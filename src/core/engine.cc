@@ -60,6 +60,26 @@ microsSince(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
+/**
+ * Run @p work, adding its wall time to @p micros and, while @p tr is
+ * attached, recording it as a @p span span on the calling thread's
+ * track.
+ */
+template <class F>
+auto
+timed(Counter &micros, TraceRecorder *tr, const char *span,
+      const std::string &label, F &&work)
+{
+    const uint64_t trT0 = tr ? tr->nowMicros() : 0;
+    auto t0 = std::chrono::steady_clock::now();
+    auto result = work();
+    micros.inc(microsSince(t0));
+    if (tr)
+        tr->complete(span, "engine", tlsWorkerId, trT0,
+                     tr->nowMicros() - trT0, label);
+    return result;
+}
+
 } // namespace
 
 Engine::Engine(unsigned threads, size_t cacheCapacity, size_t cacheMaxBytes)
@@ -93,15 +113,11 @@ backendName(Backend b)
 }
 
 std::string
-Engine::cacheKey(const std::string &source, const CompilerOptions &o,
-                 Backend backend)
+Engine::cacheKey(const std::string &source, const CompilerOptions &o)
 {
     // Fixed field order; every independent variable of the compilation
     // participates. maxCycles is a run parameter, not a compile one.
-    // Auto and Translated share the translated-tier entry (both want
-    // the translation attached); Interpreter entries skip translation.
     std::string k;
-    k += backend == Backend::Interpreter ? "I|" : "T|";
     k += schemeKindName(o.scheme);
     k += '|';
     k += o.checking == Checking::Full ? 'F' : 'O';
@@ -127,9 +143,9 @@ Engine::cacheKey(const std::string &source, const CompilerOptions &o,
 
 Engine::Compiled
 Engine::getOrCompile(const std::string &source, const CompilerOptions &opts,
-                     Backend backend, bool *cacheHit)
+                     bool *cacheHit)
 {
-    const std::string key = cacheKey(source, opts, backend);
+    const std::string key = cacheKey(source, opts);
     std::shared_future<Compiled> fut;
     std::promise<Compiled> prom;
     bool owner = false;
@@ -160,17 +176,6 @@ Engine::getOrCompile(const std::string &source, const CompilerOptions &opts,
     Compiled c;
     try {
         auto unit = std::make_shared<CompiledUnit>(compileUnit(source, opts));
-        if (backend != Backend::Interpreter) {
-            // Translated-tier entry: attach the translation (or the
-            // refusal note) to the cached compilation. Translation is a
-            // single linear pass; it is timed separately so sweeps can
-            // see its cost next to engine.compile_micros.
-            auto tT0 = std::chrono::steady_clock::now();
-            TranslateResult tr = translateUnit(*unit);
-            mTranslateMicros_.inc(microsSince(tT0));
-            c.trans = std::move(tr.unit);
-            c.transNote = std::move(tr.note);
-        }
         unit->memory = trimToLivePrefix(unit->memory);
         c.unit = std::move(unit);
     } catch (const MxlError &e) {
@@ -220,12 +225,33 @@ Engine::CompileOutcome
 Engine::compile(const std::string &source, const CompilerOptions &opts)
 {
     CompileOutcome out;
-    // Share the translated-tier entry: a later default (Auto) run of
-    // the same cell then reuses this compilation.
-    Compiled c = getOrCompile(source, opts, Backend::Auto, &out.cacheHit);
+    Compiled c = getOrCompile(source, opts, &out.cacheHit);
+    // Translate eagerly, so a warm-up through compile() leaves the
+    // default (Auto) runs of the cell nothing but the run.
+    if (c.unit)
+        translation(c.unit, "");
     out.unit = c.unit;
     out.status = c.status;
     return out;
+}
+
+TranslateResult
+Engine::translation(const UnitPtr &unit, const std::string &label)
+{
+    return translations_.get(unit, [&] {
+        return timed(mTranslateMicros_, trace(), "translate", label,
+                     [&] { return translateUnit(*unit); });
+    });
+}
+
+std::string
+Engine::verdict(const UnitPtr &unit, const std::string &label)
+{
+    return verdicts_.get(unit, [&] {
+        VerifyResult ver = timed(mVerifyMicros_, trace(), "verify", label,
+                                 [&] { return verifyUnit(*unit); });
+        return ver.ok() ? std::string() : ver.render();
+    });
 }
 
 RunReport
@@ -238,8 +264,7 @@ Engine::execute(const RunRequest &req)
     auto t0 = std::chrono::steady_clock::now();
     uint64_t trT0 = tr ? tr->nowMicros() : 0;
 
-    const Backend want = req.exec.backend;
-    Compiled c = getOrCompile(req.source, req.opts, want, &rep.cacheHit);
+    Compiled c = getOrCompile(req.source, req.opts, &rep.cacheHit);
     uint64_t compileUs = microsSince(t0);
     mCompileMicros_.inc(compileUs);
     if (tr && !rep.cacheHit)
@@ -247,105 +272,109 @@ Engine::execute(const RunRequest &req)
                      tr->nowMicros() - trT0, req.label);
     rep.status = c.status;
     if (c.status.ok()) {
-        // Tier selection: a non-Interpreter request runs translated
-        // when the unit translated and no hook needs the interpreter's
-        // seams. Auto falls back (counted + stamped); an explicit
-        // Translated request that cannot be satisfied is an error.
-        bool useTrans = false;
-        std::string note;
-        if (want != Backend::Interpreter) {
-            if (req.hooks.needsInterpreter())
-                note = "request hooks need the interpreter's seams";
-            else if (!c.trans)
-                note = c.transNote.empty() ? "translation refused"
-                                           : c.transNote;
-            else
-                useTrans = true;
-        }
-        rep.backend = useTrans ? Backend::Translated
-                               : Backend::Interpreter;
-        if (want == Backend::Translated && !useTrans) {
-            rep.status.code = RunStatus::Code::InternalError;
-            rep.status.message =
-                strcat("translated backend unavailable: ", note);
-        } else {
+        try {
+            // The transform comes first: the tier is chosen for the unit
+            // that actually runs, so a rewritten unit runs translated
+            // like any other.
+            UnitPtr unit = c.unit;
+            if (req.hooks.unitTransform) {
+                unit = req.hooks.unitTransform(unit);
+                if (!unit)
+                    fatal("unitTransform returned a null unit");
+                if (req.hooks.verifyTransformed && unit != c.unit) {
+                    std::string why = verdict(unit, req.label);
+                    if (!why.empty())
+                        fatal("transformed unit rejected by load-time "
+                              "verifier: ",
+                              why);
+                }
+            }
+
+            // Tier selection: a non-Interpreter request runs translated
+            // when the unit translated and no hook needs the
+            // interpreter's seams. Auto falls back (counted + stamped);
+            // an explicit Translated request that cannot be satisfied is
+            // an error.
+            const Backend want = req.exec.backend;
+            TranslateResult trans;
+            std::string note;
+            if (want != Backend::Interpreter) {
+                if (req.hooks.needsInterpreter()) {
+                    note = "request hooks need the interpreter's seams";
+                } else {
+                    trans = translation(unit, req.label);
+                    if (!trans.unit)
+                        note = trans.note.empty() ? "translation refused"
+                                                  : trans.note;
+                }
+            }
+            const bool useTrans = trans.unit != nullptr;
+            rep.backend = useTrans ? Backend::Translated
+                                   : Backend::Interpreter;
+            if (want == Backend::Translated && !useTrans)
+                throw MxlError(MxlError::Kind::Fatal,
+                               strcat("translated backend unavailable: ",
+                                      note));
             if (want == Backend::Auto && !useTrans) {
                 rep.backendFellBack = true;
                 rep.backendNote = note;
                 mFallbacks_.inc();
             }
-            try {
-                std::shared_ptr<const CompiledUnit> unit = c.unit;
-                if (req.hooks.unitTransform) {
-                    unit = req.hooks.unitTransform(unit);
-                    if (!unit)
-                        fatal("unitTransform returned a null unit");
-                    if (req.hooks.verifyTransformed && unit != c.unit) {
-                        VerifyResult ver = verifyUnit(*unit);
-                        if (!ver.ok())
-                            fatal("transformed unit rejected by "
-                                  "load-time verifier: ",
-                                  ver.render());
-                    }
+
+            Memory image = expandImage(*unit);
+            if (req.hooks.imageMutator)
+                req.hooks.imageMutator(image, *unit);
+            const char *runCat = useTrans ? "engine/translated"
+                                          : "engine/interpreter";
+            auto tRun = std::chrono::steady_clock::now();
+            uint64_t trR0 = tr ? tr->nowMicros() : 0;
+            if (useTrans) {
+                TranslatedControls controls;
+                controls.maxCycles = req.exec.maxCycles;
+                controls.deadlineSeconds = req.exec.deadlineSeconds;
+                controls.installTrapHandlers = req.exec.installTrapHandlers;
+                rep.result = runTranslated(*unit, *trans.unit,
+                                           std::move(image), controls);
+            } else {
+                RunControls controls;
+                controls.maxCycles = req.exec.maxCycles;
+                controls.deadlineSeconds = req.exec.deadlineSeconds;
+                controls.installUnitTrapHandlers =
+                    req.exec.installTrapHandlers;
+                controls.machineSetup = req.hooks.machineSetup;
+                controls.pauseAtCycle = req.hooks.pauseAtCycle;
+                controls.snapshotHook = req.hooks.snapshotHook;
+                controls.collectProfile = req.hooks.collectProfile;
+                if (tr && req.hooks.snapshotHook) {
+                    // Mark the pauseAtCycle pause on this worker's track.
+                    auto inner = req.hooks.snapshotHook;
+                    std::string label = req.label;
+                    controls.snapshotHook =
+                        [tr, tid, inner, label](MachineSnapshot &snap,
+                                                const CompiledUnit &unit) {
+                            tr->instant("snapshot", "engine", tid, label);
+                            inner(snap, unit);
+                        };
                 }
-                Memory image = expandImage(*unit);
-                if (req.hooks.imageMutator)
-                    req.hooks.imageMutator(image, *unit);
-                const char *runCat = useTrans ? "engine/translated"
-                                              : "engine/interpreter";
-                auto tRun = std::chrono::steady_clock::now();
-                uint64_t trR0 = tr ? tr->nowMicros() : 0;
-                if (useTrans) {
-                    TranslatedControls controls;
-                    controls.maxCycles = req.exec.maxCycles;
-                    controls.deadlineSeconds = req.exec.deadlineSeconds;
-                    controls.installTrapHandlers =
-                        req.exec.installTrapHandlers;
-                    rep.result = runTranslated(*unit, *c.trans,
-                                               std::move(image), controls);
-                } else {
-                    RunControls controls;
-                    controls.maxCycles = req.exec.maxCycles;
-                    controls.deadlineSeconds = req.exec.deadlineSeconds;
-                    controls.installUnitTrapHandlers =
-                        req.exec.installTrapHandlers;
-                    controls.machineSetup = req.hooks.machineSetup;
-                    controls.pauseAtCycle = req.hooks.pauseAtCycle;
-                    controls.snapshotHook = req.hooks.snapshotHook;
-                    controls.collectProfile = req.hooks.collectProfile;
-                    if (tr && req.hooks.snapshotHook) {
-                        // Mark the pauseAtCycle pause on this worker's
-                        // track.
-                        auto inner = req.hooks.snapshotHook;
-                        std::string label = req.label;
-                        controls.snapshotHook =
-                            [tr, tid, inner,
-                             label](MachineSnapshot &snap,
-                                    const CompiledUnit &unit) {
-                                tr->instant("snapshot", "engine", tid,
-                                            label);
-                                inner(snap, unit);
-                            };
-                    }
-                    rep.result =
-                        runUnitOn(*unit, std::move(image), controls);
-                }
-                mRunMicros_.inc(microsSince(tRun));
-                if (tr)
-                    tr->complete("run", runCat, tid, trR0,
-                                 tr->nowMicros() - trR0, req.label);
-                if (rep.result.timedOut) {
-                    mTimeouts_.inc();
-                    rep.status.code = RunStatus::Code::Timeout;
-                    rep.status.message =
-                        strcat("deadline of ", req.exec.deadlineSeconds,
-                               "s exceeded after ", rep.result.stats.total,
-                               " cycles");
-                }
-            } catch (const MxlError &e) {
-                rep.status.code = RunStatus::Code::InternalError;
-                rep.status.message = e.what();
+                rep.result = runUnitOn(*unit, std::move(image), controls);
             }
+            mRunMicros_.inc(microsSince(tRun));
+            if (tr)
+                tr->complete("run", runCat, tid, trR0,
+                             tr->nowMicros() - trR0, req.label);
+            if (rep.result.timedOut) {
+                mTimeouts_.inc();
+                rep.status.code = RunStatus::Code::Timeout;
+                rep.status.message =
+                    strcat("deadline of ", req.exec.deadlineSeconds,
+                           "s exceeded after ", rep.result.stats.total,
+                           " cycles");
+            }
+        } catch (const std::exception &e) {
+            // MxlError (a rejected or unrunnable unit) and anything a
+            // caller's hook throws: the cell fails, the grid goes on.
+            rep.status.code = RunStatus::Code::InternalError;
+            rep.status.message = e.what();
         }
     }
 

@@ -51,10 +51,11 @@
 #include "core/run.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/owner_memo.h"
 
 namespace mxl {
 
-struct TranslatedUnit; // exec/texec.h
+struct TranslateResult; // exec/texec.h
 
 /** Outcome classification of an Engine request (before run semantics). */
 struct RunStatus
@@ -129,10 +130,10 @@ struct ExecPolicy
 /**
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
- * only in hooks share a compilation. Every hook except imageMutator
- * needs the interpreter's seams, so setting one makes an `Auto`
- * request fall back (see needsInterpreter()); imageMutator mutates the
- * per-run image copy, which both backends consume identically.
+ * only in hooks share a compilation. machineSetup, the snapshot pause
+ * and collectProfile need the interpreter's seams, so setting one makes
+ * an `Auto` request fall back (see needsInterpreter()); imageMutator
+ * and unitTransform work on either backend.
  */
 struct Hooks
 {
@@ -175,11 +176,19 @@ struct Hooks
 
     /**
      * Applied to the compiled unit after compilation (or a cache hit)
-     * and before the image is expanded: the seam for static rewriters
-     * (analysis/checkelim.h runs here). The transform must return a
-     * new or unchanged unit — the cached unit itself is shared and
-     * immutable; returning null is an InternalError. Interpreter-only:
-     * the cached translation describes the untransformed unit.
+     * and before the backend is chosen: the seam for static rewriters
+     * (analysis/checkelim.h, analysis/checkplace.h). The transform must
+     * return a new or unchanged unit — the cached unit itself is shared
+     * and immutable; returning null is an InternalError. The returned
+     * unit then runs under the request's ExecPolicy like any other.
+     *
+     * The engine memoizes its work on the returned unit per unit
+     * *object* (support/owner_memo.h): the verifier verdict and the
+     * translation are computed on the object's first use and reused for
+     * as long as it lives. A transform that returns the same object for
+     * the same input (both analysis adapters do) is therefore verified
+     * and translated once; one that builds a fresh unit per call pays
+     * both per call. A returned unit must not be mutated afterwards.
      */
     std::function<std::shared_ptr<const CompiledUnit>(
         std::shared_ptr<const CompiledUnit>)>
@@ -193,15 +202,17 @@ struct Hooks
      * unit rejected by load-time verifier: ...") instead of a silently
      * wrong simulation. On by default; meaningless without a
      * unitTransform. Skipped when the transform returns the cached
-     * unit unchanged.
+     * unit unchanged. The verdict is cached per unit object: it is
+     * computed the first time a request with the gate on meets the
+     * object (a gate-off request never records one), and every gated
+     * request for that object gets it.
      */
     bool verifyTransformed = true;
 
     /** True when any hook set here requires the interpreter's seams. */
     bool needsInterpreter() const
     {
-        return static_cast<bool>(machineSetup) ||
-               static_cast<bool>(unitTransform) || collectProfile ||
+        return static_cast<bool>(machineSetup) || collectProfile ||
                (pauseAtCycle > 0 && static_cast<bool>(snapshotHook));
     }
 };
@@ -340,7 +351,10 @@ class Engine
     /**
      * This engine's metrics registry (obs/metrics.h). The engine itself
      * maintains: engine.cache.{hits,misses,evictions} and
-     * engine.{compile,run}_micros counters, engine.runs,
+     * engine.{compile,translate,verify,run}_micros counters (translate
+     * and verify count only first uses of a unit object — cached units
+     * and unitTransform outputs alike; verify is the
+     * Hooks::verifyTransformed gate), engine.runs,
      * engine.timeouts (deadline expiries), engine.backend.fallbacks,
      * engine.queue_wait_micros and engine.cell_micros histograms, and
      * one engine.worker.<n>.busy_micros counter per started worker
@@ -357,9 +371,11 @@ class Engine
      * "compile" span (cache misses only) and a "run" span on its
      * worker's track — the run span's category names the backend that
      * executed it ("engine/interpreter" or "engine/translated") — plus
-     * a "snapshot" instant at a pauseAtCycle pause. The recorder must outlive all runs made while attached;
-     * the pointer itself is read atomically, so attaching around a
-     * runGrid() call from the calling thread is safe.
+     * "translate" and "verify" spans when a unit object is translated
+     * or verified for the first time, and a "snapshot" instant at a
+     * pauseAtCycle pause. The recorder must outlive all runs made while
+     * attached; the pointer itself is read atomically, so attaching
+     * around a runGrid() call from the calling thread is safe.
      */
     void setTrace(TraceRecorder *t)
     {
@@ -378,17 +394,14 @@ class Engine
     static int currentWorkerId();
 
     /**
-     * Canonical cache key for (source, options, backend tier): every
-     * CompilerOptions field is serialized in a fixed order, so two
-     * option structs that compare field-wise equal always map to the
-     * same key. Entries are keyed per backend *tier*: Interpreter
-     * requests share one entry, Auto and Translated requests share
-     * another (the latter carries the unit's translation alongside the
-     * compilation).
+     * Canonical cache key for (source, options): every CompilerOptions
+     * field is serialized in a fixed order, so two option structs that
+     * compare field-wise equal always map to the same key. The backend
+     * tier is not part of it: every tier shares one entry, and the
+     * translation lives in the per-unit memo beside the cache.
      */
     static std::string cacheKey(const std::string &source,
-                                const CompilerOptions &opts,
-                                Backend backend = Backend::Interpreter);
+                                const CompilerOptions &opts);
 
     /** The process-wide engine behind compileAndRun(). */
     static Engine &defaultEngine();
@@ -398,12 +411,6 @@ class Engine
     {
         std::shared_ptr<const CompiledUnit> unit; ///< trimmed image
         RunStatus status;
-
-        /** Translation for the threaded backend; attempted only for
-         *  translated-tier cache entries. Null with transNote set when
-         *  the translator refused the unit. */
-        std::shared_ptr<const TranslatedUnit> trans;
-        std::string transNote;
     };
 
     struct CacheEntry
@@ -414,9 +421,20 @@ class Engine
     };
 
     Compiled getOrCompile(const std::string &source,
-                          const CompilerOptions &opts, Backend backend,
-                          bool *cacheHit);
+                          const CompilerOptions &opts, bool *cacheHit);
     RunReport execute(const RunRequest &req);
+
+    using UnitPtr = std::shared_ptr<const CompiledUnit>;
+
+    /** @p unit's translation, made on the unit object's first use;
+     *  @p label names the trace span. */
+    TranslateResult translation(const UnitPtr &unit,
+                                const std::string &label);
+
+    /** @p unit's verifier verdict (empty = accepted), made on the unit
+     *  object's first gated use. */
+    std::string verdict(const UnitPtr &unit, const std::string &label);
+
     void evictOverLimits(); ///< caller holds cacheMu_
     void ensureWorkers();
     void workerLoop(unsigned id);
@@ -435,6 +453,7 @@ class Engine
     Counter &mCompileMicros_ = metrics_.counter("engine.compile_micros");
     Counter &mTranslateMicros_ =
         metrics_.counter("engine.translate_micros");
+    Counter &mVerifyMicros_ = metrics_.counter("engine.verify_micros");
     Counter &mRunMicros_ = metrics_.counter("engine.run_micros");
     Counter &mRuns_ = metrics_.counter("engine.runs");
     Counter &mTimeouts_ = metrics_.counter("engine.timeouts");
@@ -452,6 +471,11 @@ class Engine
     uint64_t misses_ = 0;
     uint64_t cacheBytes_ = 0;
     uint64_t evictions_ = 0;
+
+    // Per-unit-object work, shared by the cached units and the units
+    // unitTransform returns: one translation path for every tier.
+    OwnerMemo<const CompiledUnit, TranslateResult> translations_;
+    OwnerMemo<const CompiledUnit, std::string> verdicts_;
 
     // Worker pool.
     std::mutex poolMu_;

@@ -65,8 +65,8 @@ static_assert(sizeof(TranslatedOp) == 32);
 
 /**
  * A unit translated for the threaded executor. Immutable after
- * translation and safe to share across threads (the engine caches one
- * per (source, options, backend) cache entry). Holds no pointer back
+ * translation and safe to share across threads (the engine keeps one
+ * per CompiledUnit object it runs). Holds no pointer back
  * into the CompiledUnit; runTranslated() takes both.
  */
 struct TranslatedUnit

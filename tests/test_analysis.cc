@@ -571,6 +571,10 @@ TEST(CheckElim, ByteIdenticalAcrossSuite)
             };
         RunReport optimized = eng.run(opt);
         ASSERT_TRUE(optimized.status.ok()) << bp.name;
+        // A rewritten unit runs on the fast backend like any other.
+        EXPECT_EQ(optimized.backend, Backend::Translated) << bp.name;
+        EXPECT_FALSE(optimized.backendFellBack)
+            << bp.name << ": " << optimized.backendNote;
 
         EXPECT_GT(st.checksEliminated, 0) << bp.name;
         EXPECT_EQ(optimized.result.output, golden.result.output)
@@ -797,6 +801,9 @@ TEST(CheckPlace, ByteIdenticalAcrossSuite)
         RunReport placed = eng.run(opt);
         ASSERT_TRUE(placed.status.ok())
             << bp.name << ": " << placed.status.message;
+        EXPECT_EQ(placed.backend, Backend::Translated) << bp.name;
+        EXPECT_FALSE(placed.backendFellBack)
+            << bp.name << ": " << placed.backendNote;
 
         EXPECT_FALSE(st.skipped) << bp.name;
         EXPECT_GT(st.elim.checksEliminated, 0) << bp.name;
@@ -812,6 +819,85 @@ TEST(CheckPlace, ByteIdenticalAcrossSuite)
     // Loop-invariant hoisting fires on a meaningful slice of the
     // suite (the BENCH_checkelim gate holds the same line).
     EXPECT_GE(programsWithHoists, 4);
+}
+
+// ------------------------------------------- memoized rewrite adapters
+
+namespace {
+
+const char *const kFetch = "(de fetch (l) (car l))"
+                           "(print (fetch (quote (1 2))))";
+
+std::shared_ptr<const CompiledUnit>
+fetchUnit()
+{
+    return std::make_shared<const CompiledUnit>(
+        compileUnit(kFetch, baselineOptions(Checking::Full)));
+}
+
+} // namespace
+
+TEST(RewriteMemo, SameInputSameOutputAndStats)
+{
+    auto in = fetchUnit();
+    ElimStats e1, e2;
+    auto elim1 = checkElimTransform(in, &e1);
+    auto elim2 = checkElimTransform(in, &e2);
+    ASSERT_NE(elim1, nullptr);
+    EXPECT_EQ(elim1, elim2);
+    EXPECT_NE(elim1, in);
+    EXPECT_GT(e1.checksEliminated, 0);
+    EXPECT_EQ(e1.checksConsidered, e2.checksConsidered);
+    EXPECT_EQ(e1.checksEliminated, e2.checksEliminated);
+    EXPECT_EQ(e1.instructionsRemoved, e2.instructionsRemoved);
+    EXPECT_EQ(e1.skipped, e2.skipped);
+
+    PlaceStats p1, p2;
+    auto place1 = checkPlaceTransform(in, &p1);
+    auto place2 = checkPlaceTransform(in, &p2);
+    ASSERT_NE(place1, nullptr);
+    EXPECT_EQ(place1, place2);
+    EXPECT_NE(place1, elim1); // one memo per rewrite
+    EXPECT_EQ(p1.elim.checksEliminated, p2.elim.checksEliminated);
+    EXPECT_EQ(p1.netInstructions(), p2.netInstructions());
+    EXPECT_EQ(p1.hoisted, p2.hoisted);
+    // Stats come back on a memo hit even when the first call passed
+    // none.
+    auto other = fetchUnit();
+    checkPlaceTransform(other);
+    PlaceStats p3;
+    checkPlaceTransform(other, &p3);
+    EXPECT_EQ(p3.elim.checksEliminated, p1.elim.checksEliminated);
+}
+
+TEST(RewriteMemo, DistinctInputsDistinctOutputs)
+{
+    // Keyed on the object, not its contents: two compilations of one
+    // source are two inputs.
+    auto a = fetchUnit();
+    auto b = fetchUnit();
+    EXPECT_NE(checkElimTransform(a), checkElimTransform(b));
+    EXPECT_NE(checkPlaceTransform(a), checkPlaceTransform(b));
+}
+
+TEST(RewriteMemo, OutputIsReleasedOnceItsInputDies)
+{
+    auto in = fetchUnit();
+    std::weak_ptr<const CompiledUnit> elim = checkElimTransform(in);
+    std::weak_ptr<const CompiledUnit> place = checkPlaceTransform(in);
+    // While the input lives the memo keeps the output for the next
+    // call, although no caller holds it.
+    EXPECT_FALSE(elim.expired());
+    EXPECT_EQ(checkElimTransform(in), elim.lock());
+    EXPECT_EQ(checkPlaceTransform(in), place.lock());
+
+    in.reset();
+    // The next call to each adapter drops the dead input's entry.
+    auto other = fetchUnit();
+    checkElimTransform(other);
+    checkPlaceTransform(other);
+    EXPECT_TRUE(elim.expired());
+    EXPECT_TRUE(place.expired());
 }
 
 TEST(CheckPlace, InsertsMissingChecks)

@@ -3,7 +3,9 @@
  * benchmark program, under every Table 2 hardware configuration and
  * both checking levels, the threaded executor must be byte-identical
  * to the reference interpreter — CycleStats, output, stop reason,
- * error code, exit value, fault index, and GC cells. On top of the
+ * error code, exit value, fault index, and GC cells — and so must the
+ * check-elimination and check-placement rewrites of every program,
+ * which the Engine runs translated. On top of the
  * differential matrix this suite pins the trap paths (the software
  * Addt/Subt overflow fallback, handled and unhandled), cycle-limit
  * stops, the Engine's two-tier Auto policy (backend stamping, the
@@ -15,13 +17,17 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/checkelim.h"
+#include "analysis/checkplace.h"
 #include "compiler/unit.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/run.h"
 #include "exec/texec.h"
 #include "machine/snapshot.h"
+#include "obs/trace.h"
 #include "programs/programs.h"
+#include "support/json.h"
 #include "support/panic.h"
 
 using namespace mxl;
@@ -78,9 +84,11 @@ sameResult(const RunResult &a, const RunResult &b)
     return ::testing::AssertionSuccess();
 }
 
-/** Interpreter-vs-translated differential for one compiled cell. */
+/** Interpreter-vs-translated differential for one compiled cell;
+ *  @p reference (optional) receives the interpreter's result. */
 ::testing::AssertionResult
-differential(const CompiledUnit &unit, uint64_t maxCycles)
+differential(const CompiledUnit &unit, uint64_t maxCycles,
+             RunResult *reference = nullptr)
 {
     auto tr = translateUnit(unit);
     if (!tr.unit)
@@ -92,7 +100,10 @@ differential(const CompiledUnit &unit, uint64_t maxCycles)
     TranslatedControls tc;
     tc.maxCycles = maxCycles;
     RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
-    return sameResult(a, b);
+    ::testing::AssertionResult same = sameResult(a, b);
+    if (reference)
+        *reference = std::move(a);
+    return same;
 }
 
 } // namespace
@@ -124,6 +135,51 @@ TEST_P(BackendDifferential, ByteIdenticalAcrossConfigs)
         CompiledUnit unit = compileUnit(bp.source, opts);
         EXPECT_TRUE(differential(unit, bp.maxCycles))
             << bp.name << " config #" << i;
+    }
+}
+
+TEST_P(BackendDifferential, RewrittenUnitsByteIdentical)
+{
+    // The check-elimination and check-placement rewrites of each
+    // program at baseline Full are differential inputs too, and the
+    // engine runs them on the translated backend under Auto.
+    const auto &bp = benchmarkPrograms()[size_t(GetParam())];
+    CompilerOptions opts = baselineOptions(Checking::Full);
+    opts.heapBytes = bp.heapBytes;
+    auto golden =
+        std::make_shared<const CompiledUnit>(compileUnit(bp.source, opts));
+    using Transform = std::shared_ptr<const CompiledUnit> (*)(
+        std::shared_ptr<const CompiledUnit>);
+    const std::pair<const char *, Transform> rungs[] = {
+        {"elim",
+         [](std::shared_ptr<const CompiledUnit> u) {
+             return checkElimTransform(u);
+         }},
+        {"placed",
+         [](std::shared_ptr<const CompiledUnit> u) {
+             return checkPlaceTransform(u);
+         }},
+    };
+    Engine eng(1);
+    for (const auto &[rung, transform] : rungs) {
+        RunResult reference;
+        EXPECT_TRUE(differential(*transform(golden), bp.maxCycles,
+                                 &reference))
+            << bp.name << " " << rung;
+
+        RunRequest req;
+        req.source = bp.source;
+        req.opts = opts;
+        req.exec.maxCycles = bp.maxCycles;
+        req.hooks.unitTransform = transform;
+        RunReport rep = eng.run(req);
+        ASSERT_TRUE(rep.ok()) << bp.name << " " << rung << ": "
+                              << rep.status.message;
+        EXPECT_EQ(rep.backend, Backend::Translated) << bp.name << " " << rung;
+        EXPECT_FALSE(rep.backendFellBack)
+            << bp.name << " " << rung << ": " << rep.backendNote;
+        EXPECT_TRUE(sameResult(rep.result, reference))
+            << bp.name << " " << rung;
     }
 }
 
@@ -284,14 +340,81 @@ TEST(Backend, FallbackPreservesPauseResumeSemantics)
     EXPECT_TRUE(sameResult(t.result, p.result));
 }
 
-TEST(Backend, CacheKeysAreTieredByBackend)
+TEST(Backend, TiersShareOneEntryAndOneTranslation)
 {
-    CompilerOptions opts = baselineOptions(Checking::Off);
-    std::string i = Engine::cacheKey(kLoop, opts, Backend::Interpreter);
-    std::string t = Engine::cacheKey(kLoop, opts, Backend::Translated);
-    std::string a = Engine::cacheKey(kLoop, opts, Backend::Auto);
-    EXPECT_NE(i, t);
-    EXPECT_EQ(a, t); // Auto shares the translated tier's entry
+    // The cache key carries no backend: Interpreter, Auto and
+    // Translated requests share one compiled entry, and the unit is
+    // translated once, on the first request that wants it.
+    Engine eng(1);
+    Counter &translateUs = eng.metrics().counter("engine.translate_micros");
+    TraceRecorder rec;
+    eng.setTrace(&rec);
+    auto translations = [&rec] {
+        Json events = rec.toJson();
+        size_t n = 0;
+        for (size_t i = 0; i < events.size(); ++i)
+            n += events.at(i).find("name")->str() == "translate";
+        return n;
+    };
+
+    RunRequest req = request(kLoop, Checking::Off);
+    req.exec.backend = Backend::Interpreter;
+    RunReport i = eng.run(req);
+    ASSERT_TRUE(i.ok()) << i.status.message;
+    EXPECT_EQ(translations(), 0u); // the interpreter needs none
+    EXPECT_EQ(translateUs.value(), 0u);
+
+    req.exec.backend = Backend::Auto;
+    RunReport a = eng.run(req);
+    ASSERT_TRUE(a.ok()) << a.status.message;
+    EXPECT_TRUE(a.cacheHit);
+    EXPECT_EQ(a.backend, Backend::Translated);
+    EXPECT_EQ(translations(), 1u);
+    const uint64_t once = translateUs.value();
+
+    for (Backend b : {Backend::Translated, Backend::Interpreter,
+                      Backend::Auto}) {
+        req.exec.backend = b;
+        RunReport r = eng.run(req);
+        ASSERT_TRUE(r.ok()) << backendName(b) << ": " << r.status.message;
+        EXPECT_TRUE(r.cacheHit) << backendName(b);
+        EXPECT_TRUE(sameResult(i.result, r.result)) << backendName(b);
+    }
+    eng.setTrace(nullptr);
+    EXPECT_EQ(translations(), 1u);
+    EXPECT_EQ(translateUs.value(), once);
+    auto cs = eng.cacheStats();
+    EXPECT_EQ(cs.entries, 1u);
+    EXPECT_EQ(cs.misses, 1u);
+    EXPECT_EQ(cs.hits, 4u);
+}
+
+TEST(Backend, RefusedTransformedUnitNamesTheRefusal)
+{
+    // A transformed unit the translator refuses falls back like a
+    // refused cached unit: the translator's note is the backendNote.
+    Engine eng(1);
+    Counter &fallbacks = eng.metrics().counter("engine.backend.fallbacks");
+    RunRequest req = request(kLoop, Checking::Off);
+    req.hooks.unitTransform = [](std::shared_ptr<const CompiledUnit> u) {
+        auto copy = std::make_shared<CompiledUnit>(cloneUnit(*u));
+        copy->opts.hw.memTagging = true; // interpreter-only hardware
+        return std::shared_ptr<const CompiledUnit>(std::move(copy));
+    };
+    RunReport rep = eng.run(req);
+    ASSERT_TRUE(rep.status.ok()) << rep.status.message;
+    EXPECT_EQ(rep.backend, Backend::Interpreter);
+    EXPECT_TRUE(rep.backendFellBack);
+    EXPECT_NE(rep.backendNote.find("memory-tagging"), std::string::npos)
+        << rep.backendNote;
+    EXPECT_EQ(fallbacks.value(), 1u);
+
+    req.exec.backend = Backend::Translated;
+    RunReport pinned = eng.run(req);
+    EXPECT_EQ(pinned.status.code, RunStatus::Code::InternalError);
+    EXPECT_NE(pinned.status.message.find("memory-tagging"),
+              std::string::npos)
+        << pinned.status.message;
 }
 
 TEST(Backend, GridMixesBackendsDeterministically)

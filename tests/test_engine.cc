@@ -8,13 +8,18 @@
 #include <algorithm>
 #include <cstring>
 #include <mutex>
+#include <set>
+#include <stdexcept>
 #include <type_traits>
 
 #include <gtest/gtest.h>
 
+#include "analysis/checkplace.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/run.h"
+#include "obs/trace.h"
+#include "support/json.h"
 #include "support/panic.h"
 
 using namespace mxl;
@@ -192,6 +197,24 @@ TEST(Engine, GridSurvivesMixedGoodAndBadCells)
     EXPECT_TRUE(reports[0].ok());
     EXPECT_EQ(reports[1].status.code, RunStatus::Code::CompileError);
     EXPECT_TRUE(reports[2].ok());
+}
+
+TEST(Engine, ThrowingHookFailsOnlyItsCell)
+{
+    // A caller's hook that throws something other than MxlError fails
+    // its own cell with InternalError; the rest of the grid finishes.
+    Engine eng(2);
+    std::vector<RunRequest> grid(3, request(kLoop, Checking::Off));
+    grid[1].hooks.imageMutator = [](Memory &, const CompiledUnit &) {
+        throw std::runtime_error("hook boom");
+    };
+    std::vector<RunReport> reports;
+    ASSERT_NO_THROW(reports = eng.runGrid(grid));
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_TRUE(reports[0].ok()) << reports[0].status.message;
+    EXPECT_EQ(reports[1].status.code, RunStatus::Code::InternalError);
+    EXPECT_EQ(reports[1].status.message, "hook boom");
+    EXPECT_TRUE(reports[2].ok()) << reports[2].status.message;
 }
 
 TEST(Engine, RunErrorsLandInResultNotStatus)
@@ -463,4 +486,47 @@ TEST(Engine, TrapHandlerInstallationIsControllable)
               bare.result.faultIndex);
     // Same compiled unit served both runs (hooks are not cache keys).
     EXPECT_TRUE(bare.cacheHit);
+}
+
+TEST(Engine, ConcurrentPlacedCellsRewriteAndVerifyOnce)
+{
+    // Forty placed cells of one cached unit on four workers: the
+    // adapter rewrites the unit once, and the engine verifies and
+    // translates that one output once, however the first uses race.
+    // Run under -DMXL_SANITIZE=thread to check the memos' publication.
+    Engine eng(4);
+    TraceRecorder rec;
+    std::mutex mu;
+    std::set<const CompiledUnit *> outputs;
+    std::vector<RunRequest> grid(40, request(kLists, Checking::Full));
+    for (RunRequest &r : grid)
+        r.hooks.unitTransform = [&](std::shared_ptr<const CompiledUnit> u) {
+            auto out = checkPlaceTransform(u);
+            std::lock_guard<std::mutex> lk(mu);
+            outputs.insert(out.get());
+            return out;
+        };
+    eng.setTrace(&rec);
+    std::vector<RunReport> reports = eng.runGrid(grid);
+    eng.setTrace(nullptr);
+
+    ASSERT_EQ(reports.size(), grid.size());
+    for (const RunReport &rep : reports) {
+        ASSERT_TRUE(rep.ok()) << rep.status.message;
+        EXPECT_EQ(rep.backend, Backend::Translated);
+        EXPECT_FALSE(rep.backendFellBack) << rep.backendNote;
+        EXPECT_TRUE(sameStats(rep.result.stats, reports[0].result.stats));
+    }
+    EXPECT_EQ(outputs.size(), 1u);
+    size_t verifies = 0, translates = 0;
+    Json events = rec.toJson();
+    for (size_t i = 0; i < events.size(); ++i) {
+        const std::string &name = events.at(i).find("name")->str();
+        verifies += name == "verify";
+        translates += name == "translate";
+    }
+    EXPECT_EQ(verifies, 1u);
+    EXPECT_EQ(translates, 1u);
+    EXPECT_GT(eng.metrics().counter("engine.verify_micros").value(), 0u);
+    EXPECT_EQ(eng.metrics().counter("engine.backend.fallbacks").value(), 0u);
 }

@@ -26,7 +26,9 @@
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "isa/assembler.h"
+#include "obs/trace.h"
 #include "programs/programs.h"
+#include "support/json.h"
 #include "support/panic.h"
 
 namespace mxl {
@@ -393,6 +395,103 @@ TEST(Verify, EngineRejectsUnsoundTransform)
     req.hooks.verifyTransformed = false;
     RunReport loose = eng.run(req);
     EXPECT_TRUE(loose.ok()) << loose.status.message;
+}
+
+/** Spans named @p name in @p rec (the engine's "verify"/"translate"). */
+size_t
+spanCount(const TraceRecorder &rec, const char *name)
+{
+    Json events = rec.toJson();
+    size_t n = 0;
+    for (size_t i = 0; i < events.size(); ++i)
+        n += events.at(i).find("name")->str() == name;
+    return n;
+}
+
+RunRequest
+carRequest()
+{
+    RunRequest req;
+    req.source = "(car (quote (1 2)))";
+    req.opts = baselineOptions(Checking::Full);
+    return req;
+}
+
+/** A transform that returns one unsound object on every call: the
+ *  blunted rewrite of the first unit it sees. */
+decltype(Hooks::unitTransform)
+bluntOnce()
+{
+    auto bad = std::make_shared<std::shared_ptr<const CompiledUnit>>();
+    return [bad](std::shared_ptr<const CompiledUnit> u) {
+        if (!*bad)
+            *bad = bluntListChecks(u);
+        return *bad;
+    };
+}
+
+TEST(Verify, RejectedUnitIsRejectedOnEveryCall)
+{
+    // The engine verifies the one unsound object once, and the cached
+    // verdict rejects every gated run of it.
+    Engine eng;
+    TraceRecorder rec;
+    eng.setTrace(&rec);
+    RunRequest req = carRequest();
+    req.hooks.unitTransform = bluntOnce();
+    for (int i = 0; i < 3; ++i) {
+        RunReport rep = eng.run(req);
+        EXPECT_EQ(rep.status.code, RunStatus::Code::InternalError) << i;
+        EXPECT_NE(rep.status.message.find("rejected"), std::string::npos)
+            << rep.status.message;
+    }
+    eng.setTrace(nullptr);
+    EXPECT_EQ(spanCount(rec, "verify"), 1u);
+    EXPECT_EQ(spanCount(rec, "translate"), 0u); // never reached a tier
+}
+
+TEST(Verify, FreshUnitPerCallIsVerifiedEachCall)
+{
+    // A transform that builds a new unit on every call gets no memo
+    // hits: each output is verified (and translated) on its own.
+    Engine eng;
+    TraceRecorder rec;
+    eng.setTrace(&rec);
+    RunRequest req = carRequest();
+    req.hooks.unitTransform = [](std::shared_ptr<const CompiledUnit> u) {
+        return std::make_shared<const CompiledUnit>(cloneUnit(*u));
+    };
+    for (int i = 0; i < 3; ++i) {
+        RunReport rep = eng.run(req);
+        EXPECT_TRUE(rep.ok()) << rep.status.message;
+        EXPECT_EQ(rep.backend, Backend::Translated);
+    }
+    eng.setTrace(nullptr);
+    EXPECT_EQ(spanCount(rec, "verify"), 3u);
+    EXPECT_EQ(spanCount(rec, "translate"), 3u);
+}
+
+TEST(Verify, UngatedRunLeavesNoVerdict)
+{
+    // A gate-off run of an object records no verdict, so the first
+    // gated run of that same object still verifies it — and rejects.
+    Engine eng;
+    TraceRecorder rec;
+    eng.setTrace(&rec);
+    RunRequest req = carRequest();
+    req.hooks.unitTransform = bluntOnce();
+    req.hooks.verifyTransformed = false;
+    RunReport loose = eng.run(req);
+    EXPECT_TRUE(loose.ok()) << loose.status.message;
+    EXPECT_EQ(spanCount(rec, "verify"), 0u);
+
+    req.hooks.verifyTransformed = true;
+    RunReport gated = eng.run(req);
+    EXPECT_EQ(gated.status.code, RunStatus::Code::InternalError);
+    EXPECT_NE(gated.status.message.find("rejected"), std::string::npos)
+        << gated.status.message;
+    eng.setTrace(nullptr);
+    EXPECT_EQ(spanCount(rec, "verify"), 1u);
 }
 
 TEST(Verify, EngineAcceptsSoundTransform)
