@@ -15,8 +15,9 @@
  * Every per-program pair is checked for zero cycle delta — a single
  * diverging cycle count fails the bench (the backend test suite proves
  * the full byte-identity contract; this keeps the artifact honest).
- * Results land in BENCH_backend.json; tools/bench_diff --backends
- * re-checks the pairing on the written artifact.
+ * Results land in BENCH_backend.json, whose "backends" rows carry each
+ * pair's two cycle counts; `bench_diff BENCH_backend.json
+ * BENCH_backend.json` re-checks their equality on the written artifact.
  */
 
 #include <algorithm>
@@ -177,7 +178,7 @@ main()
     std::printf("zero-cycle-delta check: %s\n\n",
                 failures == 0 ? "PASS (all pairs identical)" : "FAIL");
 
-    Json doc = benchDoc("backend", gridJson(reqs, reports), &eng);
+    Json doc = backendBenchDoc("backend", reqs, reports, eng);
     doc.set("runPhase", std::move(runPhase));
     Json agg = Json::object();
     agg.set("runPhaseSpeedup", aggregate);

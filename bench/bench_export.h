@@ -3,8 +3,10 @@
  * Shared machine-readable export path for the bench harnesses.
  *
  * Every bench binary writes a BENCH_<name>.json document of the shape
- *     { "bench": "<name>", "grid": [...gridJson cells...], ... ,
+ *     { "bench": "<name>", "grid": [...gridJson cells...],
+ *       "gates": [...gate records...], ... ,
  *       "metrics": { engine metrics snapshot } }
+ * whose "gates" declare what tools/bench_diff checks (obs/bench_gate.h),
  * and every document is validated — dumped, reparsed through
  * support/json.h's own parser, and re-dumped byte-identically — before
  * the harness reports it written, so a malformed artifact fails the
@@ -17,22 +19,64 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/engine.h"
 #include "core/report.h"
+#include "obs/bench_gate.h"
 #include "support/json.h"
 
 namespace mxl {
 
-/** The standard bench document: name + grid (+ engine metrics). */
+/** Simulated cycles are deterministic per commit, so by default any
+ *  increase of a grid cell's count fails. */
 inline Json
-benchDoc(const std::string &bench, Json grid, const Engine *eng = nullptr)
+cycleGate()
+{
+    return gateJson("cycles", "grid", "label", "stats.total", GateKind::Lower,
+                    0.0);
+}
+
+/** The standard bench document: name + grid + gates (+ engine
+ *  metrics). */
+inline Json
+benchDoc(const std::string &bench, Json grid, const Engine *eng = nullptr,
+         Json gates = Json::array().push(cycleGate()))
 {
     Json doc = Json::object();
     doc.set("bench", bench);
     doc.set("grid", std::move(grid));
+    doc.set("gates", std::move(gates));
     if (eng)
         doc.set("metrics", eng->metrics().snapshot());
+    return doc;
+}
+
+/**
+ * The document of a bench whose grid pairs each "<stem>/interpreter"
+ * report with the "<stem>/translated" one after it: each pair's cycle
+ * counts (a failed side left out) share a "backends" row, which an
+ * exact gate holds equal.
+ */
+inline Json
+backendBenchDoc(const std::string &bench, const std::vector<RunRequest> &reqs,
+                const std::vector<RunReport> &reports, const Engine &eng)
+{
+    Json pairs = Json::array();
+    for (size_t i = 0; i + 1 < reports.size(); i += 2) {
+        const std::string &l = reports[i].label;
+        Json row = Json::object().set("label", l.substr(0, l.rfind('/')));
+        for (const RunReport *r : {&reports[i], &reports[i + 1]})
+            if (r->ok())
+                row.set(r->label.substr(r->label.rfind('/') + 1),
+                        r->result.stats.total);
+        pairs.push(std::move(row));
+    }
+    Json doc = benchDoc(bench, gridJson(reqs, reports), &eng,
+                        Json::array().push(cycleGate()).push(gateJson(
+                            "backend cycles", "backends", "label",
+                            "interpreter,translated", GateKind::Exact)));
+    doc.set("backends", std::move(pairs));
     return doc;
 }
 

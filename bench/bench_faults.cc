@@ -43,8 +43,8 @@
  * The machine-readable outputs land in BENCH_faults.json: golden grid
  * in core/report.h's JSON schema + the coverage matrix, where every
  * cell carries detection coverage with a Wilson 95% interval and cycle
- * percentiles (faults/stats.h) — the statistics bench_diff --coverage
- * gates on.
+ * percentiles (faults/stats.h) — the statistics its "wilson" gate
+ * recomputes for tools/bench_diff.
  *
  * --trials N scales the campaign (default 3 per cell ≈ 1.3k trials;
  * 250 ≈ 100k+ trials for a soak run — same seed, same per-trial
@@ -281,19 +281,8 @@ main(int argc, char **argv)
         for (size_t c = 0; c < r.configCount; ++c)
             for (size_t k = 0; k < r.classCount; ++k) {
                 const CampaignCell &cell = r.cell(c, k);
-                Json jc = Json::object();
-                jc.set("config", r.configLabels[c]);
-                jc.set("class", r.classLabels[k]);
-                for (int o = 0; o < static_cast<int>(Outcome::NumOutcomes);
-                     ++o)
-                    jc.set(outcomeName(static_cast<Outcome>(o)),
-                           static_cast<int64_t>(cell.byOutcome[o]));
-                jc.set("hardwareTraps",
-                       static_cast<int64_t>(cell.hardwareTraps));
-                jc.set("softwareChecks",
-                       static_cast<int64_t>(cell.softwareChecks));
                 // Detection coverage with its Wilson 95% interval —
-                // what bench_diff --coverage gates on.
+                // what the "coverage" gate recomputes.
                 CoverageCell cov;
                 cov.config = r.configLabels[c];
                 cov.cls = r.classLabels[k];
@@ -301,10 +290,16 @@ main(int argc, char **argv)
                 cov.total = cell.total();
                 cov.skipped = cell.count(Outcome::Skipped);
                 finishCoverageCell(&cov);
-                jc.set("total", static_cast<int64_t>(cov.total));
-                jc.set("coverage", cov.coverage);
-                jc.set("ci_lo", cov.ci.lo);
-                jc.set("ci_hi", cov.ci.hi);
+                Json jc = coverageCellJson(cov);
+                for (Outcome o : {Outcome::SilentWrongAnswer,
+                                  Outcome::CrashIllegalAccess,
+                                  Outcome::CycleLimit, Outcome::Masked})
+                    jc.set(outcomeName(o),
+                           static_cast<int64_t>(cell.count(o)));
+                jc.set("hardwareTraps",
+                       static_cast<int64_t>(cell.hardwareTraps));
+                jc.set("softwareChecks",
+                       static_cast<int64_t>(cell.softwareChecks));
                 // Cycle percentiles over the cell's faulted runs.
                 PercentileSummary cyc =
                     percentileSummary(cellCycles[c * r.classCount + k]);
@@ -315,10 +310,13 @@ main(int argc, char **argv)
                 jc.set("cyc_max", cyc.max);
                 matrix.push(std::move(jc));
             }
-        faultsDoc = Json::object();
+        faultsDoc = benchDoc(
+            "faults", gridJson(goldenReqs, r.goldens), nullptr,
+            Json::array().push(cycleGate()).push(
+                gateJson("coverage", "matrix", "config,class", "coverage",
+                         GateKind::Wilson)));
         faultsDoc.set("campaign",
                       strcat("bench_faults seed ", campaign.seed));
-        faultsDoc.set("goldens", gridJson(goldenReqs, r.goldens));
         faultsDoc.set("matrix", std::move(matrix));
     }
 

@@ -27,10 +27,10 @@
  * counts are deterministic) plus service-level results — throughput,
  * request-latency p50/p99, shed / worker-death / hang-kill / respawn
  * counts, and the measured drain time. The embedded metrics snapshot
- * carries the four service latency histograms (gate them with
- * `bench_diff --latency`) and the engine counters merged home from
- * the workers' per-result metric deltas. The server also runs with
- * --trace and --log equivalents on: BENCH_serve_trace.json must be a
+ * carries the four service latency histograms (its p95/p99 gates
+ * recompute them for tools/bench_diff) and the engine counters merged
+ * home from the workers' per-result metric deltas. The server also runs
+ * with --trace and --log equivalents on: BENCH_serve_trace.json must be a
  * valid merged Perfetto trace with one lane per worker and the
  * sampled requests' trace ids on its spans, and
  * BENCH_serve_events.jsonl a parseable structured event log.
@@ -433,7 +433,7 @@ main(int argc, char **argv)
 
     // --------------------------------------- observability artifacts
     // The refreshed health snapshot must carry the four service
-    // latency histograms (bench_diff --latency gates on them) and
+    // latency histograms (the p95/p99 gates read them) and
     // engine counters the parent process never increments itself —
     // cache hits and runs happen inside forked workers, so nonzero
     // values prove the per-result metric deltas merged home.
@@ -610,7 +610,13 @@ main(int argc, char **argv)
             "structured event log parses with full lifecycle events");
 
     // ------------------------------------------------------- artifact
-    Json doc = benchDoc("serve", std::move(grid));
+    // The 100us floor keeps a near-zero baseline from failing on noise.
+    Json gates = Json::array().push(cycleGate());
+    for (const char *p : {"p95", "p99"})
+        gates.push(gateJson(p + std::string(" latency"), "metrics.histograms",
+                            "serve.*_micros", p, GateKind::Percentile, 0.0,
+                            100.0));
+    Json doc = benchDoc("serve", std::move(grid), nullptr, gates);
     Json results = Json::object();
     results.set("requests", ledger.completed);
     results.set("attempts",

@@ -158,8 +158,7 @@ main()
     }
 
     return writeBenchJson("simulator",
-                          benchDoc("simulator", gridJson(reqs, reports),
-                                   &eng)) &&
+                          backendBenchDoc("simulator", reqs, reports, eng)) &&
                    failures == 0
                ? 0
                : 1;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/format.h"
-#include "support/table.h"
 
 namespace mxl {
 
@@ -116,106 +114,6 @@ coverageCellJson(const CoverageCell &cell)
     j.set("ci_lo", cell.ci.lo);
     j.set("ci_hi", cell.ci.hi);
     return j;
-}
-
-bool
-extractCoverageCells(const Json &doc, std::vector<CoverageCell> *out,
-                     std::string *err)
-{
-    out->clear();
-    const Json *matrix = doc.find("matrix");
-    if (!matrix || !matrix->isArray()) {
-        *err = "document has no top-level \"matrix\" array";
-        return false;
-    }
-    for (size_t i = 0; i < matrix->size(); ++i) {
-        const Json &e = matrix->at(i);
-        if (!e.isObject())
-            continue;
-        const Json *config = e.find("config");
-        const Json *cls = e.find("class");
-        const Json *detected = e.find("detected");
-        const Json *total = e.find("total");
-        if (!config || !config->isString() || !cls || !cls->isString() ||
-            !detected || !detected->isNumber() || !total ||
-            !total->isNumber())
-            continue;
-        CoverageCell cell;
-        cell.config = config->str();
-        cell.cls = cls->str();
-        cell.detected = static_cast<int>(detected->asInt());
-        cell.total = static_cast<int>(total->asInt());
-        if (const Json *skipped = e.find("skipped"))
-            cell.skipped = static_cast<int>(skipped->asInt());
-        // Recompute rather than trust the file: the gate must hold even
-        // against a hand-edited or stale "coverage" field.
-        finishCoverageCell(&cell);
-        out->push_back(std::move(cell));
-    }
-    if (out->empty()) {
-        *err = "\"matrix\" array has no coverage cells "
-               "(config/class/detected/total keys)";
-        return false;
-    }
-    return true;
-}
-
-bool
-compareCoverage(const std::vector<CoverageCell> &before,
-                const std::vector<CoverageCell> &after,
-                std::string *report)
-{
-    auto pct = [](double v) {
-        return strcat(static_cast<uint64_t>(v * 1000 + 0.5) / 10, ".",
-                      static_cast<uint64_t>(v * 1000 + 0.5) % 10, "%");
-    };
-    bool ok = true;
-    TextTable t;
-    t.addRow({"config", "class", "before", "after", "ci(after)", "note"});
-    for (const CoverageCell &b : before) {
-        const CoverageCell *a = nullptr;
-        for (const CoverageCell &c : after)
-            if (c.config == b.config && c.cls == b.cls) {
-                a = &c;
-                break;
-            }
-        std::vector<std::string> row{b.config, b.cls, pct(b.coverage)};
-        if (!a) {
-            ok = false;
-            row.push_back("-");
-            row.push_back("-");
-            row.push_back("FAIL: cell disappeared");
-        } else {
-            row.push_back(pct(a->coverage));
-            row.push_back(
-                strcat("[", pct(a->ci.lo), ", ", pct(a->ci.hi), "]"));
-            if (a->skipped > b.skipped) {
-                ok = false;
-                row.push_back(strcat("FAIL: skipped ", b.skipped, " -> ",
-                                     a->skipped));
-            } else if (a->ci.hi < b.ci.lo) {
-                ok = false;
-                row.push_back(strcat("FAIL: below before-ci lo ",
-                                     pct(b.ci.lo)));
-            } else if (a->coverage < b.coverage) {
-                row.push_back("lower, within noise");
-            } else {
-                row.push_back("ok");
-            }
-        }
-        t.addRow(std::move(row));
-    }
-    for (const CoverageCell &a : after) {
-        bool known = false;
-        for (const CoverageCell &b : before)
-            known |= b.config == a.config && b.cls == a.cls;
-        if (!known)
-            t.addRow({a.config, a.cls, "-", pct(a.coverage),
-                      strcat("[", pct(a.ci.lo), ", ", pct(a.ci.hi), "]"),
-                      "new cell"});
-    }
-    *report += t.render();
-    return ok;
 }
 
 } // namespace mxl

@@ -1,24 +1,21 @@
 /**
  * @file
- * Campaign statistics: confidence intervals, cycle percentiles, and
- * interval-aware coverage comparison.
+ * Campaign statistics: confidence intervals and cycle percentiles.
  *
  * A detection-coverage number from a finite campaign is an estimate,
  * and gating a CI on raw point estimates turns sampling noise into
  * build failures. This module gives every matrix cell a Wilson score
  * interval (the binomial interval that stays honest at the extremes —
  * 0/N and N/N cells get intervals that actually contain the truth,
- * where the naive normal interval collapses to a point), summarizes
- * per-trial cycle counts as percentiles, and defines the regression
- * gate bench_diff --coverage applies: a cell regresses only when the
- * after-interval lies entirely below the before-interval — i.e. the
- * data is inconsistent with "coverage is unchanged" — or when trials
- * silently vanished into Skipped.
+ * where the naive normal interval collapses to a point) and summarizes
+ * per-trial cycle counts as percentiles.
  *
- * Everything here is shared between the campaign bench (which writes
- * the statistics into BENCH_faults.json) and tools/bench_diff (which
- * reads two such files and gates), so the two sides can never disagree
- * about what an interval means.
+ * The campaign bench writes the statistics into BENCH_faults.json
+ * through coverageCellJson(), and the "wilson" gate (obs/bench_gate.h)
+ * recomputes them from the same raw counts with finishCoverageCell(),
+ * so the two sides can never disagree about what an interval means: a
+ * cell regresses only when its after-interval lies entirely below its
+ * before-interval, or when trials silently vanished into Skipped.
  */
 
 #ifndef MXLISP_FAULTS_STATS_H_
@@ -99,32 +96,6 @@ void finishCoverageCell(CoverageCell *cell);
 /** The cell's JSON form inside the bench matrix (flat keys: config,
  *  class, detected, total, skipped, coverage, ci_lo, ci_hi). */
 Json coverageCellJson(const CoverageCell &cell);
-
-/**
- * Extract coverage cells from a BENCH_faults.json document: every
- * entry of the top-level "matrix" array carrying the coverageCellJson
- * keys. Entries without them are ignored. Returns false (and sets
- * @p err) when the document has no usable matrix at all.
- */
-bool extractCoverageCells(const Json &doc, std::vector<CoverageCell> *out,
-                          std::string *err);
-
-/**
- * The --coverage gate: compare @p after against @p before cell by cell
- * (matched on config + class). A cell FAILS when
- *
- *   - after.ci.hi < before.ci.lo (the intervals are disjoint with
- *     after below: a statistically unambiguous coverage drop), or
- *   - after.skipped > before.skipped (trials quietly stopped running —
- *     a masked regression no interval can see), or
- *   - the cell disappeared from @p after.
- *
- * Cells new in @p after are reported but never fail. Appends a
- * human-readable table to @p report; returns true when no cell failed.
- */
-bool compareCoverage(const std::vector<CoverageCell> &before,
-                     const std::vector<CoverageCell> &after,
-                     std::string *report);
 
 } // namespace mxl
 

@@ -19,6 +19,7 @@
 #include "faults/campaign.h"
 #include "faults/fault_injector.h"
 #include "faults/stats.h"
+#include "obs/bench_gate.h"
 #include "runtime/stubs.h"
 #include "support/json.h"
 #include "support/panic.h"
@@ -955,32 +956,20 @@ TEST(FaultStats, CoverageCellJsonRoundTripRecomputes)
     EXPECT_LT(cell.ci.lo, cell.coverage);
     EXPECT_GT(cell.ci.hi, cell.coverage);
 
-    Json doc = Json::object();
-    Json matrix = Json::array();
-    Json tampered = coverageCellJson(cell);
-    tampered.set("coverage", 0.99); // a lie the extractor must ignore
-    matrix.push(std::move(tampered));
-    doc.set("matrix", std::move(matrix));
-
-    std::vector<CoverageCell> cells;
-    std::string err;
-    ASSERT_TRUE(extractCoverageCells(doc, &cells, &err)) << err;
-    ASSERT_EQ(cells.size(), 1u);
-    EXPECT_EQ(cells[0].config, "checked");
-    EXPECT_EQ(cells[0].cls, "tag-corrupt");
-    EXPECT_NEAR(cells[0].coverage, 17.0 / 30.0, 1e-9);
-    EXPECT_NEAR(cells[0].ci.lo, cell.ci.lo, 1e-9);
-    EXPECT_NEAR(cells[0].ci.hi, cell.ci.hi, 1e-9);
+    Json j = coverageCellJson(cell);
+    EXPECT_EQ(j.find("config")->str(), "checked");
+    EXPECT_EQ(j.find("class")->str(), "tag-corrupt");
+    EXPECT_EQ(j.find("detected")->asUint(), 17u);
+    EXPECT_EQ(j.find("total")->asUint(), 30u);
+    EXPECT_EQ(j.find("skipped")->asUint(), 0u);
+    EXPECT_NEAR(j.find("ci_lo")->asReal(), cell.ci.lo, 1e-9);
+    EXPECT_NEAR(j.find("ci_hi")->asReal(), cell.ci.hi, 1e-9);
 
     // Skipped trials shrink the denominator.
     CoverageCell holey = cell;
     holey.skipped = 10;
     finishCoverageCell(&holey);
     EXPECT_NEAR(holey.coverage, 17.0 / 20.0, 1e-9);
-
-    // A document without a matrix is an error, not an empty result.
-    Json bare = Json::object();
-    EXPECT_FALSE(extractCoverageCells(bare, &cells, &err));
 }
 
 namespace {
@@ -999,59 +988,106 @@ fixtureCell(const char *config, const char *cls, int detected, int total,
     return c;
 }
 
+/** A BENCH_faults.json-shaped document: the matrix + its coverage
+ *  gate. */
+Json
+coverageDoc(const std::vector<CoverageCell> &cells)
+{
+    Json matrix = Json::array();
+    for (const CoverageCell &c : cells)
+        matrix.push(coverageCellJson(c));
+    Json doc = Json::object();
+    doc.set("matrix", std::move(matrix));
+    doc.set("gates", Json::array().push(gateJson("coverage", "matrix",
+                                                 "config,class", "coverage",
+                                                 GateKind::Wilson)));
+    return doc;
+}
+
 } // namespace
 
 TEST(FaultStats, CompareCoverageGate)
 {
-    std::vector<CoverageCell> before = {
+    const Json before = coverageDoc({
         fixtureCell("checked", "tag-corrupt", 17, 30),
         fixtureCell("checked", "bit-flip", 3, 30),
-    };
-    std::string report;
+    });
 
     // Identical coverage passes.
-    EXPECT_TRUE(compareCoverage(before, before, &report));
+    EXPECT_EQ(evaluateGates(before, before).exitCode, 0);
 
-    // A drop within the noise band passes (intervals overlap).
-    std::vector<CoverageCell> noisy = {
+    // A drop within the noise band passes (intervals overlap), and no
+    // threshold override can tighten or loosen the interval rule.
+    const Json noisy = coverageDoc({
         fixtureCell("checked", "tag-corrupt", 15, 30),
         fixtureCell("checked", "bit-flip", 3, 30),
-    };
-    report.clear();
-    EXPECT_TRUE(compareCoverage(before, noisy, &report));
+    });
+    EXPECT_EQ(evaluateGates(before, noisy, 0.0).exitCode, 0);
 
     // A statistically unambiguous drop fails: after.hi < before.lo.
-    std::vector<CoverageCell> dropped = {
+    const Json dropped = coverageDoc({
         fixtureCell("checked", "tag-corrupt", 1, 30),
         fixtureCell("checked", "bit-flip", 3, 30),
-    };
-    report.clear();
-    EXPECT_FALSE(compareCoverage(before, dropped, &report));
-    EXPECT_NE(report.find("FAIL"), std::string::npos);
+    });
+    GateVerdict v = evaluateGates(before, dropped, 1e9);
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("FAIL  coverage        checked/tag-corrupt"),
+              std::string::npos)
+        << v.report;
 
     // Growing the skipped count fails even with identical coverage.
-    std::vector<CoverageCell> skippedGrew = {
-        fixtureCell("checked", "tag-corrupt", 17, 30, 5),
-        fixtureCell("checked", "bit-flip", 3, 30),
-    };
-    report.clear();
-    EXPECT_FALSE(compareCoverage(before, skippedGrew, &report));
-    EXPECT_NE(report.find("skipped"), std::string::npos);
+    v = evaluateGates(before,
+                      coverageDoc({
+                          fixtureCell("checked", "tag-corrupt", 17, 30, 5),
+                          fixtureCell("checked", "bit-flip", 3, 30),
+                      }));
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("skipped 5"), std::string::npos);
 
     // A cell disappearing fails.
-    std::vector<CoverageCell> vanished = {
-        fixtureCell("checked", "tag-corrupt", 17, 30),
-    };
-    report.clear();
-    EXPECT_FALSE(compareCoverage(before, vanished, &report));
-    EXPECT_NE(report.find("disappeared"), std::string::npos);
+    v = evaluateGates(before, coverageDoc({
+                                  fixtureCell("checked", "tag-corrupt", 17,
+                                              30),
+                              }));
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("checked/bit-flip"), std::string::npos);
+    EXPECT_NE(v.report.find("missing in AFTER"), std::string::npos);
 
     // A new cell is reported but never fails.
-    std::vector<CoverageCell> extra = before;
-    extra.push_back(fixtureCell("memtag", "stack-tag-corrupt", 6, 30));
-    report.clear();
-    EXPECT_TRUE(compareCoverage(before, extra, &report));
-    EXPECT_NE(report.find("new cell"), std::string::npos);
+    v = evaluateGates(before, coverageDoc({
+                                  fixtureCell("checked", "tag-corrupt", 17,
+                                              30),
+                                  fixtureCell("checked", "bit-flip", 3, 30),
+                                  fixtureCell("memtag",
+                                              "stack-tag-corrupt", 6, 30),
+                              }));
+    EXPECT_EQ(v.exitCode, 0);
+    EXPECT_NE(v.report.find("NEW   coverage        memtag/stack-tag-corrupt"),
+              std::string::npos);
+
+    // The gate recomputes coverage and its interval from the raw
+    // counts: stored coverage/ci fields that lie change no verdict.
+    auto tampered = [](Json doc, double coverage) {
+        Json matrix = Json::array();
+        const Json *m = doc.find("matrix");
+        for (size_t i = 0; i < m->size(); ++i) {
+            Json cell = m->at(i);
+            cell.set("coverage", coverage).set("ci_lo", coverage);
+            cell.set("ci_hi", coverage);
+            matrix.push(std::move(cell));
+        }
+        doc.set("matrix", std::move(matrix));
+        return doc;
+    };
+    EXPECT_EQ(evaluateGates(before, tampered(before, 0.0)).exitCode, 0);
+    EXPECT_EQ(evaluateGates(before, tampered(dropped, 0.99)).exitCode, 1);
+    EXPECT_EQ(evaluateGates(tampered(before, 0.0), dropped).exitCode, 1);
+
+    // A document without a matrix is an input error, not a pass.
+    Json bare = Json::object();
+    bare.set("gates", *before.find("gates"));
+    EXPECT_EQ(evaluateGates(bare, before).exitCode, 2);
+    EXPECT_EQ(evaluateGates(before, bare).exitCode, 2);
 }
 
 // ---- execution backend tier -------------------------------------------

@@ -5,8 +5,8 @@
  * thread safety under Engine::runGrid — run this binary under
  * -DMXL_SANITIZE=thread), histogram percentiles and the cross-process
  * delta/merge relay, Chrome trace parse-back and the fork-boundary
- * drain/import path, the structured event log, and the BENCH_*.json
- * comparison used by tools/bench_diff.
+ * drain/import path, the structured event log, and the declared
+ * BENCH_*.json gates tools/bench_diff evaluates.
  */
 
 #include <cstdint>
@@ -24,7 +24,7 @@
 #include "core/experiment.h"
 #include "core/report.h"
 #include "core/run.h"
-#include "obs/bench_compare.h"
+#include "obs/bench_gate.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -683,8 +683,20 @@ TEST(EventLog, SchemaRoundTripsAndLevelsFilter)
 }
 
 // ---------------------------------------------------------------------
-// Bench comparison (tools/bench_diff's engine)
+// Bench gates (tools/bench_diff's engine)
 // ---------------------------------------------------------------------
+
+/** A bench document: @p grid plus the grid cycle gate. */
+Json
+gatedGrid(Json grid)
+{
+    Json doc = Json::object();
+    doc.set("grid", std::move(grid));
+    doc.set("gates", Json::array().push(gateJson("cycles", "grid", "label",
+                                                 "stats.total",
+                                                 GateKind::Lower, 0.0)));
+    return doc;
+}
 
 TEST(BenchCompare, SelfComparisonIsZeroRegression)
 {
@@ -694,74 +706,176 @@ TEST(BenchCompare, SelfComparisonIsZeroRegression)
         request("(print (add1 2))", Checking::Full, "b"),
     };
     std::vector<RunReport> reports = eng.runGrid(grid);
-    Json doc = gridJson(grid, reports);
+    Json doc = gatedGrid(gridJson(grid, reports));
 
-    std::vector<BenchDelta> cells;
-    ASSERT_TRUE(extractBenchCells(doc, &cells));
-    EXPECT_EQ(cells.size(), 2u);
-
-    BenchComparison cmp = compareBenchJson(doc, doc);
-    ASSERT_EQ(cmp.deltas.size(), 2u);
-    for (const BenchDelta &d : cmp.deltas) {
-        EXPECT_EQ(d.before, d.after);
-        EXPECT_EQ(d.pct(), 0.0);
-    }
-    EXPECT_TRUE(cmp.onlyBefore.empty());
-    EXPECT_TRUE(cmp.onlyAfter.empty());
-    EXPECT_TRUE(cmp.regressions(0.0).empty());
-
-    bool failed = true;
-    std::string rendered = renderComparison(cmp, 0.0, &failed);
-    EXPECT_FALSE(failed);
-    EXPECT_FALSE(rendered.empty());
+    GateVerdict v = evaluateGates(doc, doc);
+    EXPECT_EQ(v.exitCode, 0) << v.report << v.error;
+    EXPECT_NE(v.report.find("0 of 2 row(s) failed"), std::string::npos);
+    EXPECT_NE(v.report.find("PASS  1 of 1 gate(s) passed"),
+              std::string::npos);
+    EXPECT_EQ(v.report.find("FAIL"), std::string::npos);
 }
 
 TEST(BenchCompare, DetectsRegressionsMissingAndNewLabels)
 {
-    Json before = Json::array();
-    before.push(benchCell("a", 100));
-    before.push(benchCell("b", 200));
-    before.push(benchCell("gone", 5));
-    before.push(benchCell("bad", 1, /*ok=*/false)); // skipped
+    Json beforeGrid = Json::array();
+    beforeGrid.push(benchCell("a", 100));
+    beforeGrid.push(benchCell("b", 200));
+    beforeGrid.push(benchCell("gone", 5));
+    beforeGrid.push(benchCell("bad", 1, /*ok=*/false)); // skipped
+    Json before = gatedGrid(std::move(beforeGrid));
 
-    // The wrapped-object shape the bench harnesses write.
     Json afterGrid = Json::array();
     afterGrid.push(benchCell("a", 110));
     afterGrid.push(benchCell("b", 190));
     afterGrid.push(benchCell("new", 7));
-    Json after = Json::object();
-    after.set("bench", "synthetic");
-    after.set("grid", std::move(afterGrid));
+    Json after = gatedGrid(afterGrid);
 
-    BenchComparison cmp = compareBenchJson(before, after);
-    ASSERT_EQ(cmp.deltas.size(), 2u);
-    EXPECT_DOUBLE_EQ(cmp.deltas[0].pct(), 10.0);  // a: 100 -> 110
-    EXPECT_DOUBLE_EQ(cmp.deltas[1].pct(), -5.0);  // b: 200 -> 190
-    // "bad" carries no cycle count and drops out entirely; only the
-    // genuinely removed label is reported missing.
-    EXPECT_EQ(cmp.onlyBefore, std::vector<std::string>{"gone"});
-    EXPECT_EQ(cmp.onlyAfter, std::vector<std::string>{"new"});
+    // a: +10% regresses at 5%; a label only BEFORE has fails too (the
+    // old comparator merely listed it); "bad" failed in BEFORE and is
+    // not gated; "new" is reported, never gated.
+    GateVerdict v = evaluateGates(before, after, 5.0);
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("FAIL  cycles          a "), std::string::npos)
+        << v.report;
+    EXPECT_NE(v.report.find("OK    cycles          b "), std::string::npos);
+    EXPECT_NE(v.report.find("gone"), std::string::npos);
+    EXPECT_NE(v.report.find("missing in AFTER"), std::string::npos);
+    EXPECT_NE(v.report.find("SKIP  cycles          bad"),
+              std::string::npos);
+    EXPECT_NE(v.report.find("NEW   cycles          new"),
+              std::string::npos);
+    EXPECT_NE(v.report.find("2 of 4 row(s) failed"), std::string::npos);
 
-    auto bad = cmp.regressions(5.0);
-    ASSERT_EQ(bad.size(), 1u);
-    EXPECT_EQ(bad[0].label, "a");
-    EXPECT_TRUE(cmp.regressions(15.0).empty());
+    // A looser threshold forgives a, but not the vanished label.
+    EXPECT_EQ(evaluateGates(before, after, 15.0).exitCode, 1);
+    afterGrid.push(benchCell("gone", 5));
+    EXPECT_EQ(evaluateGates(before, gatedGrid(afterGrid), 15.0).exitCode,
+              0);
+    // The declared 0% applies without an override.
+    EXPECT_EQ(evaluateGates(before, gatedGrid(afterGrid)).exitCode, 1);
 
-    bool failed = false;
-    renderComparison(cmp, 5.0, &failed);
-    EXPECT_TRUE(failed);
+    // A cell that fails in AFTER fails its gate whatever its cycles.
+    Json failedGrid = Json::array();
+    failedGrid.push(benchCell("a", 100, /*ok=*/false));
+    failedGrid.push(benchCell("b", 200));
+    failedGrid.push(benchCell("gone", 5));
+    v = evaluateGates(before, gatedGrid(failedGrid), 15.0);
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("failed in AFTER"), std::string::npos);
 }
 
 TEST(BenchCompare, PctEdgeCases)
 {
-    BenchDelta d;
-    d.before = 0;
-    d.after = 0;
-    EXPECT_EQ(d.pct(), 0.0);
-    d.after = 50;
-    EXPECT_EQ(d.pct(), 100.0);
-    std::vector<BenchDelta> cells;
-    EXPECT_FALSE(extractBenchCells(Json("not a grid"), &cells));
+    Json zero = Json::array();
+    zero.push(benchCell("z", 0));
+    Json fifty = Json::array();
+    fifty.push(benchCell("z", 50));
+
+    GateVerdict v = evaluateGates(gatedGrid(zero), gatedGrid(zero));
+    EXPECT_EQ(v.exitCode, 0);
+    EXPECT_NE(v.report.find("0 -> 0 (=)"), std::string::npos) << v.report;
+    v = evaluateGates(gatedGrid(zero), gatedGrid(fifty), 1000.0);
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("0 -> 50 (+100.00%)"), std::string::npos);
+
+    // Input errors exit 2: no gates, a gate selecting no rows on
+    // either side, a malformed record, an unreadable BEFORE value.
+    EXPECT_EQ(evaluateGates(Json("not a grid"), gatedGrid(zero)).exitCode,
+              2);
+    v = evaluateGates(gatedGrid(zero), gatedGrid(Json::array()));
+    EXPECT_EQ(v.exitCode, 2);
+    EXPECT_NE(v.error.find("selects no rows"), std::string::npos);
+    EXPECT_EQ(evaluateGates(gatedGrid(Json::array()), gatedGrid(zero))
+                  .exitCode,
+              2);
+    Json badGate = Json::object();
+    badGate.set("name", "x").set("rows", "grid").set("key", "label");
+    badGate.set("value", "stats.total").set("kind", "bogus");
+    Json bogus = Json::object();
+    bogus.set("grid", zero).set("gates", Json::array().push(badGate));
+    v = evaluateGates(bogus, bogus);
+    EXPECT_EQ(v.exitCode, 2);
+    EXPECT_NE(v.error.find("malformed"), std::string::npos);
+    Json noStats = Json::array();
+    noStats.push(Json::object().set("label", "z"));
+    EXPECT_EQ(evaluateGates(gatedGrid(noStats), gatedGrid(zero)).exitCode,
+              2);
+}
+
+TEST(BenchCompare, PercentileRecomputedFromBuckets)
+{
+    // Health's histogram snapshot shape; p95 lands in the 8192 bucket,
+    // clamped to the observed max.
+    auto doc = [](uint64_t max, uint64_t tail, uint64_t storedP95,
+                  Json sum = Json(uint64_t{1})) {
+        Json buckets = Json::object();
+        buckets.set("1024", uint64_t{90}).set("8192", tail);
+        Json h = Json::object();
+        h.set("count", 90 + tail).set("max", max).set("p95", storedP95);
+        h.set("sum", std::move(sum));
+        h.set("buckets", std::move(buckets));
+        Json hists = Json::object();
+        hists.set("serve.e2e_micros", std::move(h));
+        Json metrics = Json::object();
+        metrics.set("histograms", std::move(hists));
+        Json d = Json::object();
+        d.set("metrics", std::move(metrics));
+        d.set("gates", Json::array().push(gateJson(
+                           "p95 latency", "metrics.histograms",
+                           "serve.*_micros", "p95", GateKind::Percentile,
+                           0.0, 100.0)));
+        return d;
+    };
+    GateVerdict v = evaluateGates(doc(9000, 10, 9000), doc(9000, 10, 1));
+    EXPECT_EQ(v.exitCode, 0) << v.report;
+    EXPECT_NE(v.report.find("9000 -> 9000"), std::string::npos);
+    // A lying stored p95 cannot hide a real tail regression...
+    v = evaluateGates(doc(9000, 10, 9000), doc(15000, 10, 9000));
+    EXPECT_EQ(v.exitCode, 1) << v.report;
+    // ...and the 100us floor forgives a near-zero-sized rise.
+    EXPECT_EQ(evaluateGates(doc(9000, 10, 1), doc(9050, 10, 1)).exitCode,
+              0);
+    // A histogram whose counts are not unsigned integers is unreadable.
+    v = evaluateGates(doc(9000, 10, 1, Json(-1.5)), doc(9000, 10, 1));
+    EXPECT_EQ(v.exitCode, 2);
+    EXPECT_NE(v.error.find("no readable p95"), std::string::npos);
+}
+
+TEST(BenchCompare, ExactComparesTwoFieldsOfEachAfterRow)
+{
+    auto doc = [](Json row,
+                  const std::string &fields = "interpreter,translated") {
+        Json rows = Json::array();
+        rows.push(std::move(row));
+        Json d = Json::object();
+        d.set("backends", std::move(rows));
+        d.set("gates", Json::array().push(gateJson("backend cycles",
+                                                   "backends", "label",
+                                                   fields, GateKind::Exact)));
+        return d;
+    };
+    Json same = Json::object();
+    same.set("label", "fib").set("interpreter", 10).set("translated", 10);
+    Json diverged = Json::object();
+    diverged.set("label", "fib").set("interpreter", 10).set("translated",
+                                                             11);
+    Json oneSide = Json::object();
+    oneSide.set("label", "fib").set("interpreter", 10);
+
+    EXPECT_EQ(evaluateGates(doc(same), doc(same)).exitCode, 0);
+    GateVerdict v = evaluateGates(doc(diverged), doc(diverged), 1e9);
+    EXPECT_EQ(v.exitCode, 1);
+    EXPECT_NE(v.report.find("interpreter,translated: 10 != 11"),
+              std::string::npos)
+        << v.report;
+    v = evaluateGates(doc(oneSide), doc(oneSide));
+    EXPECT_EQ(v.exitCode, 1);
+    // exact names exactly two fields.
+    EXPECT_EQ(evaluateGates(doc(same, "interpreter,"), doc(same)).exitCode,
+              2);
+    EXPECT_NE(v.report.find("no readable interpreter,translated"),
+              std::string::npos);
 }
 
 } // namespace mxl

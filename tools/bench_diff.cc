@@ -1,656 +1,56 @@
 /**
  * @file
- * bench_diff — compare two BENCH_*.json exports cell by cell.
- *
- *     bench_diff [--threshold PCT] BEFORE.json AFTER.json
- *     bench_diff --backends FILE.json
- *     bench_diff --coverage BEFORE.json AFTER.json
- *     bench_diff --latency [--threshold PCT] BEFORE.json AFTER.json
- *     bench_diff --checks [--threshold PCT] BEFORE.json AFTER.json
- *
- * Two-file mode pairs grid cells by label and prints each one's
- * simulated-cycle delta (stats.total — deterministic per commit,
- * unlike wall time), then a verdict against the regression threshold
- * (default 0%: any cycle increase fails). Exit status: 0 when no cell
- * regressed beyond the threshold, 1 when one did, 2 on usage or input
- * errors — so CI can gate on `bench_diff baseline.json current.json`.
- *
- * --backends mode reads ONE export whose grid carries both execution
- * backends (labels ending "/interpreter" and "/translated", as
- * bench_backend and bench_simulator write) and reports each pair's
- * wall-time speedup plus the aggregate. Any pair whose cycle counts
- * diverge between backends fails the diff — wall time may move with
- * the host, but the two backends simulating a different cycle count is
- * an equivalence bug, never noise.
- *
- * --coverage mode compares two BENCH_faults.json exports' detection
- * coverage matrices interval-aware (faults/stats.h): a cell fails only
- * when its after-interval lies entirely below its before-interval — a
- * statistically unambiguous coverage drop, not trial noise — or when
- * its skipped count grew (trials silently stopped running). Coverage
- * and Wilson intervals are recomputed from the raw detected/total
- * counts, so a stale or hand-edited "coverage" field cannot fool the
- * gate.
- *
- * --latency mode compares the measurement service's four latency
- * histograms (serve.admission_wait_micros, serve.queue_micros,
- * serve.exec_micros, serve.e2e_micros) between two BENCH_serve.json
- * exports. p95 and p99 are recomputed nearest-rank from the raw
- * power-of-two bucket counts — a stale or hand-edited "p95" field
- * cannot fool the gate — and a histogram fails when its after
- * percentile exceeds before by more than the threshold percentage
- * (plus a 100µs absolute floor, so a 0µs-vs-3µs admission wait is not
- * a regression). Bucketed percentiles are upper bounds: the gate
- * compares like against like, both sides quantized the same way.
- *
- * --checks mode compares two BENCH_checkelim.json exports from the
- * check-placement ladder (bench/bench_checkelim.cc), pairing cells by
- * program. A cell fails when its verifier-proven check count
- * ("provenChecks") dropped — the placement engine stopped proving
- * guards it used to prove — when the independent verifier stopped
- * accepting its transformed unit, or when its place-rung cycle count
- * ("placeCycles") grew by more than the threshold (default 1%, not the
- * two-file mode's 0%: placement interacts with the scheduler, so a
- * little cycle jitter is expected but a real regression is not).
- *
- * Documents that carry an engine metrics snapshot are also checked for
- * static-verifier regressions: any "mxlint.<unit>.errors" counter that
- * increased (or appeared nonzero) between BEFORE and AFTER fails the
- * diff, independent of the cycle threshold.
+ * bench_diff [--threshold PCT] BEFORE.json AFTER.json — run every gate
+ * BEFORE declares over AFTER (obs/bench_gate.h): exit 0 when all pass,
+ * 1 on a regression (a gated row missing or failed in AFTER counts), 2
+ * on a usage or input error. --threshold replaces the percentage of
+ * the gates declared with one. `bench_diff F F` runs F's self-checks,
+ * such as the equal interpreter/translated cycles of backend pairs.
  */
 
-#include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <sys/stat.h>
 
-#include "faults/stats.h"
-#include "obs/bench_compare.h"
+#include "obs/bench_gate.h"
 
 namespace {
 
-int
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: bench_diff [--threshold PCT] BEFORE.json "
-                 "AFTER.json\n"
-                 "       bench_diff --backends FILE.json\n"
-                 "       bench_diff --coverage BEFORE.json AFTER.json\n"
-                 "       bench_diff --latency [--threshold PCT] "
-                 "BEFORE.json AFTER.json\n"
-                 "       bench_diff --checks [--threshold PCT] "
-                 "BEFORE.json AFTER.json\n");
-    return 2;
-}
-
-/**
- * Load one BENCH_*.json artifact, diagnosing each failure mode
- * distinctly: a missing path, a directory (which ifstream happily
- * "opens" and then reads nothing from, turning into a misleading
- * parse error), an empty/truncated file, and malformed JSON. Every
- * caller turns `false` into exit status 2 — in all modes, a bad
- * artifact path must never look like a bench verdict.
- */
+/** Load one artifact, diagnosing a missing path, a directory (which
+ *  ifstream "opens" and reads nothing from), an empty file and
+ *  malformed JSON distinctly: a bad artifact is never a verdict. */
 bool
 loadJson(const std::string &path, mxl::Json *out)
 {
     struct stat st;
+    std::string why;
     if (::stat(path.c_str(), &st) != 0) {
+        why = std::strerror(errno);
+    } else if (!S_ISREG(st.st_mode)) {
+        why = "not a regular file (expected a BENCH_*.json artifact)";
+    } else {
+        std::ifstream in(path, std::ios::binary);
+        const std::string body{std::istreambuf_iterator<char>(in), {}};
+        if (!in.is_open())
+            why = std::string("cannot open: ") + std::strerror(errno);
+        else if (body.find_first_not_of(" \t\r\n") == std::string::npos)
+            why = "is empty (did the bench run finish?)";
+        else if (!mxl::Json::parse(body, out))
+            why = "not valid JSON (truncated or not a BENCH_*.json)";
+    }
+    if (!why.empty())
         std::fprintf(stderr, "bench_diff: %s: %s\n", path.c_str(),
-                     std::strerror(errno));
-        return false;
-    }
-    if (!S_ISREG(st.st_mode)) {
-        std::fprintf(stderr,
-                     "bench_diff: %s is not a regular file (expected a "
-                     "BENCH_*.json artifact)\n",
-                     path.c_str());
-        return false;
-    }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "bench_diff: cannot open %s: %s\n",
-                     path.c_str(), std::strerror(errno));
-        return false;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (in.bad()) {
-        std::fprintf(stderr, "bench_diff: read error on %s\n",
-                     path.c_str());
-        return false;
-    }
-    const std::string body = text.str();
-    if (body.find_first_not_of(" \t\r\n") == std::string::npos) {
-        std::fprintf(stderr,
-                     "bench_diff: %s is empty (expected a BENCH_*.json "
-                     "artifact — did the bench run finish?)\n",
-                     path.c_str());
-        return false;
-    }
-    if (!mxl::Json::parse(body, out)) {
-        std::fprintf(stderr,
-                     "bench_diff: %s is not valid JSON (truncated or "
-                     "not a BENCH_*.json artifact)\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
-}
-
-/** "mxlint.<unit>.errors" counters from a doc's metrics snapshot. */
-std::vector<std::pair<std::string, uint64_t>>
-lintErrorCounters(const mxl::Json &doc)
-{
-    std::vector<std::pair<std::string, uint64_t>> out;
-    const mxl::Json *metrics = doc.find("metrics");
-    const mxl::Json *counters = metrics ? metrics->find("counters") : nullptr;
-    if (!counters || !counters->isObject())
-        return out;
-    for (size_t i = 0; i < counters->size(); ++i) {
-        const auto &[name, value] = counters->entry(i);
-        if (name.rfind("mxlint.", 0) == 0 &&
-            name.size() > 7 + 7 &&
-            name.compare(name.size() - 7, 7, ".errors") == 0)
-            out.emplace_back(name, value.asUint());
-    }
-    return out;
-}
-
-/**
- * Flag every mxlint error counter that increased (or appeared nonzero)
- * in @p after. Prints one line per flagged counter; true when any was
- * flagged.
- */
-bool
-diffLintErrors(const mxl::Json &before, const mxl::Json &after)
-{
-    const auto b = lintErrorCounters(before);
-    const auto a = lintErrorCounters(after);
-    auto beforeValue = [&](const std::string &name) -> uint64_t {
-        for (const auto &kv : b)
-            if (kv.first == name)
-                return kv.second;
-        return 0;
-    };
-    bool flagged = false;
-    for (const auto &[name, count] : a) {
-        const uint64_t was = beforeValue(name);
-        if (count > was) {
-            std::printf("LINT  %s: %llu -> %llu error(s) — new "
-                        "tag-discipline violations\n",
-                        name.c_str(),
-                        static_cast<unsigned long long>(was),
-                        static_cast<unsigned long long>(count));
-            flagged = true;
-        }
-    }
-    return flagged;
-}
-
-/** One backend-paired cell in --backends mode. */
-struct BackendPair
-{
-    std::string stem;
-    uint64_t interpCycles = 0, transCycles = 0;
-    double interpWall = 0, transWall = 0;
-    bool haveInterp = false, haveTrans = false;
-};
-
-/**
- * Pair a single document's "<stem>/interpreter" and "<stem>/translated"
- * cells, print per-pair wall-time speedups, and fail on any cycle
- * divergence or unpaired cell. Exit-status semantics match main().
- */
-int
-diffBackends(const mxl::Json &doc)
-{
-    const mxl::Json *grid = doc.find("grid");
-    if (!grid)
-        grid = doc.find("goldens");
-    if (!grid && doc.isArray())
-        grid = &doc;
-    if (!grid || !grid->isArray()) {
-        std::fprintf(stderr, "bench_diff: document has no bench grid\n");
-        return 2;
-    }
-
-    std::vector<BackendPair> pairs;
-    auto pairFor = [&](const std::string &stem) -> BackendPair & {
-        for (BackendPair &p : pairs)
-            if (p.stem == stem)
-                return p;
-        pairs.push_back({stem});
-        return pairs.back();
-    };
-    for (size_t i = 0; i < grid->size(); ++i) {
-        const mxl::Json &cell = grid->at(i);
-        const mxl::Json *label = cell.find("label");
-        const mxl::Json *stats = cell.find("stats");
-        const mxl::Json *ok = cell.find("statusOk");
-        if (!label || !label->isString() || !stats ||
-            (ok && !ok->asBool()))
-            continue;
-        const std::string &l = label->str();
-        size_t slash = l.rfind('/');
-        if (slash == std::string::npos)
-            continue;
-        const std::string backend = l.substr(slash + 1);
-        if (backend != "interpreter" && backend != "translated")
-            continue;
-        BackendPair &p = pairFor(l.substr(0, slash));
-        const mxl::Json *total = stats->find("total");
-        const mxl::Json *wall = cell.find("wallSeconds");
-        if (backend == "interpreter") {
-            p.haveInterp = true;
-            p.interpCycles = total ? total->asUint() : 0;
-            p.interpWall = wall ? wall->asReal() : 0;
-        } else {
-            p.haveTrans = true;
-            p.transCycles = total ? total->asUint() : 0;
-            p.transWall = wall ? wall->asReal() : 0;
-        }
-    }
-    if (pairs.empty()) {
-        std::fprintf(stderr, "bench_diff: no */interpreter or "
-                             "*/translated cells in the grid\n");
-        return 2;
-    }
-
-    bool failed = false;
-    double interpSum = 0, transSum = 0;
-    for (const BackendPair &p : pairs) {
-        if (!p.haveInterp || !p.haveTrans) {
-            std::printf("FAIL  %s: only the %s cell is present\n",
-                        p.stem.c_str(),
-                        p.haveInterp ? "interpreter" : "translated");
-            failed = true;
-            continue;
-        }
-        if (p.interpCycles != p.transCycles) {
-            std::printf("FAIL  %s: cycle divergence — interpreter %llu, "
-                        "translated %llu\n",
-                        p.stem.c_str(),
-                        static_cast<unsigned long long>(p.interpCycles),
-                        static_cast<unsigned long long>(p.transCycles));
-            failed = true;
-            continue;
-        }
-        interpSum += p.interpWall;
-        transSum += p.transWall;
-        std::printf("OK    %-24s %12llu cycles   %8.2fms -> %8.2fms   "
-                    "%.2fx\n",
-                    p.stem.c_str(),
-                    static_cast<unsigned long long>(p.interpCycles),
-                    p.interpWall * 1e3, p.transWall * 1e3,
-                    p.transWall > 0 ? p.interpWall / p.transWall : 0.0);
-    }
-    if (transSum > 0)
-        std::printf("\naggregate wall-time speedup: %.2fx over %zu "
-                    "pair(s)\n",
-                    interpSum / transSum, pairs.size());
-    std::printf("%s  backend cycle equivalence\n",
-                failed ? "FAIL" : "PASS");
-    return failed ? 1 : 0;
-}
-
-/**
- * --coverage mode: interval-aware detection-coverage gate between two
- * BENCH_faults.json documents. Exit-status semantics match main().
- */
-int
-diffCoverage(const mxl::Json &before, const mxl::Json &after,
-             const std::string &beforePath, const std::string &afterPath)
-{
-    std::vector<mxl::CoverageCell> b, a;
-    std::string err;
-    if (!mxl::extractCoverageCells(before, &b, &err)) {
-        std::fprintf(stderr, "bench_diff: %s: %s\n", beforePath.c_str(),
-                     err.c_str());
-        return 2;
-    }
-    if (!mxl::extractCoverageCells(after, &a, &err)) {
-        std::fprintf(stderr, "bench_diff: %s: %s\n", afterPath.c_str(),
-                     err.c_str());
-        return 2;
-    }
-    std::string report;
-    bool ok = mxl::compareCoverage(b, a, &report);
-    std::fputs(report.c_str(), stdout);
-    std::printf("\n%s  detection coverage (Wilson 95%% interval gate, "
-                "%zu cell(s))\n",
-                ok ? "PASS" : "FAIL", b.size());
-    return ok ? 0 : 1;
-}
-
-/** The service latency histograms --latency gates, in export order. */
-const char *const kLatencyHistograms[] = {
-    "serve.admission_wait_micros",
-    "serve.queue_micros",
-    "serve.exec_micros",
-    "serve.e2e_micros",
-};
-
-/** Regressions smaller than this many microseconds never fail the
- *  gate, whatever the percentage: near-zero baselines would otherwise
- *  flag scheduler noise. */
-constexpr uint64_t kLatencyFloorMicros = 100;
-
-/** One parsed service latency histogram: raw bucket counts keyed by
- *  lower bound, plus the exact observed max. */
-struct LatencyHist
-{
-    uint64_t count = 0;
-    uint64_t max = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> buckets; ///< (lo, n)
-};
-
-/**
- * Parse one "histograms" entry. False (with a diagnostic naming the
- * histogram and file) on a malformed entry — a count that is not a
- * number, buckets missing or non-object, a bucket key that is not a
- * decimal lower bound.
- */
-bool
-parseLatencyHist(const mxl::Json &h, const std::string &name,
-                 const std::string &path, LatencyHist *out)
-{
-    auto malformed = [&](const char *what) {
-        std::fprintf(stderr,
-                     "bench_diff: %s: histogram '%s' is malformed "
-                     "(%s)\n",
-                     path.c_str(), name.c_str(), what);
-        return false;
-    };
-    if (!h.isObject())
-        return malformed("not an object");
-    const mxl::Json *count = h.find("count");
-    if (!count || !count->isNumber())
-        return malformed("'count' is not a number");
-    out->count = count->asUint(0);
-    const mxl::Json *max = h.find("max");
-    out->max = max && max->isNumber() ? max->asUint(0) : 0;
-    const mxl::Json *buckets = h.find("buckets");
-    if (!buckets || !buckets->isObject())
-        return malformed("'buckets' is not an object");
-    for (size_t i = 0; i < buckets->size(); ++i) {
-        const auto &[lo, n] = buckets->entry(i);
-        char *end = nullptr;
-        uint64_t loVal = std::strtoull(lo.c_str(), &end, 10);
-        if (lo.empty() || !end || *end != '\0')
-            return malformed("bucket key is not a decimal lower bound");
-        if (!n.isNumber())
-            return malformed("bucket count is not a number");
-        out->buckets.emplace_back(loVal, n.asUint(0));
-    }
-    std::sort(out->buckets.begin(), out->buckets.end());
-    return true;
-}
-
-/**
- * Nearest-rank percentile recomputed from the raw buckets, matching
- * Histogram::percentile: the answer is the covering bucket's upper
- * bound (lo == 0 ? 0 : 2*lo - 1), clamped to the observed max.
- */
-uint64_t
-latencyPercentile(const LatencyHist &h, double p)
-{
-    if (h.count == 0)
-        return 0;
-    uint64_t rank =
-        static_cast<uint64_t>(std::ceil(p * static_cast<double>(h.count)));
-    if (rank < 1)
-        rank = 1;
-    if (rank > h.count)
-        rank = h.count;
-    uint64_t seen = 0;
-    for (const auto &[lo, n] : h.buckets) {
-        seen += n;
-        if (seen >= rank) {
-            uint64_t hi = lo == 0 ? 0
-                          : lo > (~uint64_t{0} - 1) / 2
-                              ? ~uint64_t{0}
-                              : 2 * lo - 1;
-            return h.max > 0 && hi > h.max ? h.max : hi;
-        }
-    }
-    return h.max;
-}
-
-/**
- * --latency mode: p95/p99 regression gate over the service latency
- * histograms. Exit-status semantics match main(): 0 pass, 1 when a
- * percentile regressed beyond the threshold, 2 when either document
- * carries no service latency histograms or one is malformed.
- */
-int
-diffLatency(const mxl::Json &before, const mxl::Json &after,
-            const std::string &beforePath, const std::string &afterPath,
-            double thresholdPct)
-{
-    auto extract = [](const mxl::Json &doc, const std::string &path,
-                      std::vector<std::pair<std::string, LatencyHist>> *out)
-        -> int {
-        const mxl::Json *metrics = doc.find("metrics");
-        const mxl::Json *hists =
-            metrics ? metrics->find("histograms") : nullptr;
-        if (!hists || !hists->isObject()) {
-            std::fprintf(stderr,
-                         "bench_diff: %s has no service latency "
-                         "histograms (expected metrics.histograms in a "
-                         "BENCH_serve.json export)\n",
-                         path.c_str());
-            return 2;
-        }
-        for (const char *name : kLatencyHistograms) {
-            const mxl::Json *h = hists->find(name);
-            if (!h)
-                continue;
-            LatencyHist parsed;
-            if (!parseLatencyHist(*h, name, path, &parsed))
-                return 2;
-            out->emplace_back(name, std::move(parsed));
-        }
-        if (out->empty()) {
-            std::fprintf(stderr,
-                         "bench_diff: %s has no service latency "
-                         "histograms (none of the serve.*_micros "
-                         "histograms present)\n",
-                         path.c_str());
-            return 2;
-        }
-        return 0;
-    };
-    std::vector<std::pair<std::string, LatencyHist>> b, a;
-    if (int rc = extract(before, beforePath, &b))
-        return rc;
-    if (int rc = extract(after, afterPath, &a))
-        return rc;
-    auto beforeHist = [&](const std::string &name) -> const LatencyHist * {
-        for (const auto &kv : b)
-            if (kv.first == name)
-                return &kv.second;
-        return nullptr;
-    };
-
-    bool failed = false;
-    for (const auto &[name, ah] : a) {
-        const LatencyHist *bh = beforeHist(name);
-        if (!bh) {
-            std::printf("NEW   %-28s (no before data; not gated)\n",
-                        name.c_str());
-            continue;
-        }
-        for (double p : {0.95, 0.99}) {
-            uint64_t was = latencyPercentile(*bh, p);
-            uint64_t now = latencyPercentile(ah, p);
-            double limit = static_cast<double>(was) *
-                           (1.0 + thresholdPct / 100.0);
-            bool regressed =
-                static_cast<double>(now) > limit &&
-                now > was + kLatencyFloorMicros;
-            double pctDelta =
-                was > 0 ? (static_cast<double>(now) /
-                               static_cast<double>(was) -
-                           1.0) * 100.0
-                        : 0.0;
-            std::printf("%s  %-28s p%-2d %10lluus -> %10lluus "
-                        "(%+.1f%%)\n",
-                        regressed ? "FAIL" : "OK  ", name.c_str(),
-                        static_cast<int>(p * 100),
-                        static_cast<unsigned long long>(was),
-                        static_cast<unsigned long long>(now), pctDelta);
-            failed = failed || regressed;
-        }
-    }
-    std::printf("%s  service latency (p95/p99 gate, threshold %.1f%%, "
-                "floor %lluus)\n",
-                failed ? "FAIL" : "PASS", thresholdPct,
-                static_cast<unsigned long long>(kLatencyFloorMicros));
-    return failed ? 1 : 0;
-}
-
-/** One check-placement cell parsed from a BENCH_checkelim.json grid. */
-struct CheckCell
-{
-    std::string name;
-    uint64_t proven = 0;      ///< verifier-proven guarded accesses
-    uint64_t placeCycles = 0; ///< place-rung simulated cycles
-    bool verifierAccepts = true;
-};
-
-/**
- * Extract the check-placement cells of @p doc (cells carrying a
- * "provenChecks" field). False with a diagnostic when the document has
- * no grid or no such cell — a BENCH_*.json from another bench must
- * exit 2, not pass an empty gate.
- */
-bool
-extractCheckCells(const mxl::Json &doc, const std::string &path,
-                  std::vector<CheckCell> *out)
-{
-    const mxl::Json *grid = doc.find("grid");
-    if (!grid && doc.isArray())
-        grid = &doc;
-    if (!grid || !grid->isArray()) {
-        std::fprintf(stderr, "bench_diff: %s has no bench grid\n",
-                     path.c_str());
-        return false;
-    }
-    for (size_t i = 0; i < grid->size(); ++i) {
-        const mxl::Json &cell = grid->at(i);
-        const mxl::Json *proven = cell.find("provenChecks");
-        if (!proven || !proven->isNumber())
-            continue;
-        CheckCell c;
-        const mxl::Json *name = cell.find("program");
-        if (!name)
-            name = cell.find("label");
-        if (!name || !name->isString())
-            continue;
-        c.name = name->str();
-        c.proven = proven->asUint();
-        const mxl::Json *cycles = cell.find("placeCycles");
-        if (!cycles) {
-            const mxl::Json *stats = cell.find("stats");
-            cycles = stats ? stats->find("total") : nullptr;
-        }
-        c.placeCycles = cycles && cycles->isNumber() ? cycles->asUint() : 0;
-        const mxl::Json *ver = cell.find("verifierAccepts");
-        c.verifierAccepts = !ver || ver->asBool();
-        out->push_back(std::move(c));
-    }
-    if (out->empty()) {
-        std::fprintf(stderr,
-                     "bench_diff: %s has no check-placement cells "
-                     "(expected provenChecks in a BENCH_checkelim.json "
-                     "export)\n",
-                     path.c_str());
-        return false;
-    }
-    return true;
-}
-
-/**
- * --checks mode: proven-check and place-cycle regression gate between
- * two BENCH_checkelim.json documents. Exit-status semantics match
- * main(): 0 pass, 1 when a program lost proven checks, lost verifier
- * acceptance, or grew its place cycles beyond the threshold, 2 on a
- * document without check-placement cells.
- */
-int
-diffChecks(const mxl::Json &before, const mxl::Json &after,
-           const std::string &beforePath, const std::string &afterPath,
-           double thresholdPct)
-{
-    std::vector<CheckCell> b, a;
-    if (!extractCheckCells(before, beforePath, &b) ||
-        !extractCheckCells(after, afterPath, &a))
-        return 2;
-    auto beforeCell = [&](const std::string &name) -> const CheckCell * {
-        for (const CheckCell &c : b)
-            if (c.name == name)
-                return &c;
-        return nullptr;
-    };
-
-    bool failed = false;
-    for (const CheckCell &ac : a) {
-        const CheckCell *bc = beforeCell(ac.name);
-        if (!bc) {
-            std::printf("NEW   %-10s %6llu proven (no before data; not "
-                        "gated)\n",
-                        ac.name.c_str(),
-                        static_cast<unsigned long long>(ac.proven));
-            continue;
-        }
-        bool bad = false;
-        std::string why;
-        if (!ac.verifierAccepts) {
-            bad = true;
-            why = "verifier no longer accepts the transformed unit";
-        } else if (ac.proven < bc->proven) {
-            bad = true;
-            why = "proven-check regression";
-        }
-        const double limit = static_cast<double>(bc->placeCycles) *
-                             (1.0 + thresholdPct / 100.0);
-        const double cyclePct =
-            bc->placeCycles
-                ? (static_cast<double>(ac.placeCycles) /
-                       static_cast<double>(bc->placeCycles) -
-                   1.0) * 100.0
-                : 0.0;
-        if (!bad && bc->placeCycles > 0 &&
-            static_cast<double>(ac.placeCycles) > limit) {
-            bad = true;
-            why = "place-cycle regression";
-        }
-        std::printf("%s  %-10s proven %4llu -> %4llu   cycles %10llu -> "
-                    "%10llu (%+.2f%%)%s%s\n",
-                    bad ? "FAIL" : "OK  ", ac.name.c_str(),
-                    static_cast<unsigned long long>(bc->proven),
-                    static_cast<unsigned long long>(ac.proven),
-                    static_cast<unsigned long long>(bc->placeCycles),
-                    static_cast<unsigned long long>(ac.placeCycles),
-                    cyclePct, bad ? " — " : "", why.c_str());
-        failed = failed || bad;
-    }
-    std::printf("%s  check placement (proven-check + cycle gate, "
-                "threshold %.1f%%)\n",
-                failed ? "FAIL" : "PASS", thresholdPct);
-    return failed ? 1 : 0;
+                     why.c_str());
+    return why.empty();
 }
 
 } // namespace
@@ -658,93 +58,33 @@ diffChecks(const mxl::Json &before, const mxl::Json &after,
 int
 main(int argc, char **argv)
 {
-    double thresholdPct = 0.0;
-    bool thresholdSet = false;
-    bool backendsMode = false;
-    bool coverageMode = false;
-    bool latencyMode = false;
-    bool checksMode = false;
-    std::string paths[2];
-    int nPaths = 0;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--backends") {
-            backendsMode = true;
-        } else if (arg == "--coverage") {
-            coverageMode = true;
-        } else if (arg == "--latency") {
-            latencyMode = true;
-        } else if (arg == "--checks") {
-            checksMode = true;
-        } else if (arg == "--threshold") {
-            if (++i >= argc)
-                return usage();
+    std::optional<double> thresholdPct;
+    std::vector<std::string> paths;
+    bool bad = false;
+    for (int i = 1; i < argc && !bad; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--threshold" && i + 1 < argc) {
             char *end = nullptr;
-            thresholdPct = std::strtod(argv[i], &end);
-            if (!end || *end != '\0')
-                return usage();
-            thresholdSet = true;
-        } else if (nPaths < 2) {
-            paths[nPaths++] = arg;
+            thresholdPct = std::strtod(argv[++i], &end);
+            bad = end == argv[i] || *end != '\0' ||
+                  !std::isfinite(*thresholdPct) || *thresholdPct < 0;
         } else {
-            return usage();
+            bad = arg.rfind("-", 0) == 0 || paths.size() == 2;
+            paths.push_back(arg);
         }
     }
-    if (backendsMode) {
-        if (nPaths != 1 || coverageMode || latencyMode || checksMode)
-            return usage();
-        mxl::Json doc;
-        if (!loadJson(paths[0], &doc))
-            return 2;
-        return diffBackends(doc);
+    if (bad || paths.size() != 2) {
+        std::fprintf(stderr, "usage: bench_diff [--threshold PCT] "
+                             "BEFORE.json AFTER.json\n");
+        return 2;
     }
-    if (nPaths != 2 ||
-        (coverageMode + latencyMode + checksMode) > 1)
-        return usage();
-    if (coverageMode) {
-        mxl::Json before, after;
-        if (!loadJson(paths[0], &before) || !loadJson(paths[1], &after))
-            return 2;
-        return diffCoverage(before, after, paths[0], paths[1]);
-    }
-    if (latencyMode) {
-        mxl::Json before, after;
-        if (!loadJson(paths[0], &before) || !loadJson(paths[1], &after))
-            return 2;
-        return diffLatency(before, after, paths[0], paths[1],
-                           thresholdPct);
-    }
-    if (checksMode) {
-        mxl::Json before, after;
-        if (!loadJson(paths[0], &before) || !loadJson(paths[1], &after))
-            return 2;
-        // Placement interacts with the delay-slot scheduler, so the
-        // check gate tolerates 1% cycle jitter unless told otherwise.
-        return diffChecks(before, after, paths[0], paths[1],
-                          thresholdSet ? thresholdPct : 1.0);
-    }
-
     mxl::Json before, after;
     if (!loadJson(paths[0], &before) || !loadJson(paths[1], &after))
         return 2;
-    std::vector<mxl::BenchDelta> probe;
-    if (!mxl::extractBenchCells(before, &probe)) {
-        std::fprintf(stderr, "bench_diff: %s has no bench grid\n",
-                     paths[0].c_str());
-        return 2;
-    }
-    probe.clear();
-    if (!mxl::extractBenchCells(after, &probe)) {
-        std::fprintf(stderr, "bench_diff: %s has no bench grid\n",
-                     paths[1].c_str());
-        return 2;
-    }
-
-    mxl::BenchComparison cmp = mxl::compareBenchJson(before, after);
-    bool failed = false;
-    std::fputs(mxl::renderComparison(cmp, thresholdPct, &failed).c_str(),
-               stdout);
-    if (diffLintErrors(before, after))
-        failed = true;
-    return failed ? 1 : 0;
+    const mxl::GateVerdict v =
+        mxl::evaluateGates(before, after, thresholdPct, paths[0], paths[1]);
+    std::fputs(v.report.c_str(), stdout);
+    if (v.exitCode == 2)
+        std::fprintf(stderr, "bench_diff: %s\n", v.error.c_str());
+    return v.exitCode;
 }
