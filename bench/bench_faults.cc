@@ -26,13 +26,15 @@
  * (golden cycles × margin), so a runaway faulted run is cut off a few
  * golden-run-lengths in rather than at the global 800M-cycle guard.
  *
- * Faulted trials run process-isolated by default (faults/sandbox.h):
- * forked children execute batches of trials, a watchdog kills hung
- * children, and abnormal deaths are retried with backoff, so a trial
- * that crashes the simulator itself cannot take the campaign down. To
- * prove it, the harness injects its own chaos — two child SIGSEGVs and
- * one hang, first attempt only — and checks the campaign still
- * completes with every trial classified. --no-sandbox runs in-process.
+ * Faulted trials run process-isolated by default: persistent forked
+ * workers (support/procpool.h) each run one trial at a time, so a
+ * worker's death indicts exactly the trial it was running. A watchdog
+ * kills a worker whose trial hangs, and the culprit is re-dispatched
+ * to a fresh worker (respawned with backoff), so a trial that crashes
+ * the simulator itself cannot take the campaign down. To prove it,
+ * the harness injects its own chaos — two worker SIGSEGVs and one
+ * hang, first attempt only — and checks the campaign still completes
+ * with every trial classified. --no-sandbox runs in-process.
  *
  * The campaign is durable: every classified trial is appended to a
  * JSONL journal (default BENCH_faults.jsonl). Kill the process at any
@@ -69,6 +71,7 @@
 #include "programs/programs.h"
 #include "support/format.h"
 #include "support/json.h"
+#include "support/procpool.h"
 
 using namespace mxl;
 
@@ -158,7 +161,7 @@ main(int argc, char **argv)
 {
     std::string journalPath = "BENCH_faults.jsonl";
     bool resume = false;
-    bool sandbox = sandboxSupported();
+    bool sandbox = procPoolSupported();
     int trials = 3;
     int procs = 0; // 0 = hardware_concurrency
     for (int i = 1; i < argc; ++i) {
@@ -209,11 +212,10 @@ main(int argc, char **argv)
     options.resume = resume;
     options.sandbox.enabled = sandbox;
     options.sandbox.procs = procs;
-    options.sandbox.batchTrials = 64;
-    // Above the per-trial deadline: the watchdog exists for children
+    // Above the per-trial deadline: the watchdog exists for workers
     // that stop making progress entirely, not for slow trials.
     options.sandbox.watchdogSeconds = campaign.deadlineSeconds + 10;
-    // Self-inflicted chaos (first attempt only): two trials whose child
+    // Self-inflicted chaos (first attempt only): two trials whose worker
     // dies by SIGSEGV and one that hangs until the watchdog kills it.
     // The retry runs them clean, so the matrix is unaffected — the
     // acceptance checks below prove the parent contained all three.
@@ -375,7 +377,7 @@ main(int argc, char **argv)
           strcat("every fault classified, none escaped the simulator (",
                  r.trials.size(), "/", total, ")"));
 
-    // The sandbox contained the injected chaos: two child SIGSEGVs and
+    // The sandbox contained the injected chaos: two worker SIGSEGVs and
     // one hang (killed by the watchdog), all retried clean — and the
     // campaign parent never noticed beyond the stats.
     if (sandbox && !resume && total - r.journaled > 707) {

@@ -112,6 +112,18 @@ backendName(Backend b)
     return "?";
 }
 
+bool
+backendFromName(const std::string &name, Backend *out)
+{
+    for (Backend b :
+         {Backend::Auto, Backend::Interpreter, Backend::Translated})
+        if (name == backendName(b)) {
+            *out = b;
+            return true;
+        }
+    return false;
+}
+
 std::string
 Engine::cacheKey(const std::string &source, const CompilerOptions &o)
 {

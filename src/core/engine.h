@@ -96,6 +96,10 @@ enum class Backend : uint8_t
 
 const char *backendName(Backend b);
 
+/** Inverse of backendName; false on an unknown name (wire cells,
+ *  campaign journals). */
+bool backendFromName(const std::string &name, Backend *out);
+
 /**
  * How to execute a cell: budget, deadline, backend tier, and the two
  * run knobs both backends honor. Everything here is supported by both
@@ -321,7 +325,7 @@ class Engine
 
     /**
      * Make this engine safe for inline use in a child process created
-     * by fork() (the trial sandbox, src/faults/sandbox.h). Call it once
+     * by fork() (the process pool, src/support/procpool.h). Call it once
      * in the child, immediately after the fork: it detaches the trace
      * recorder (which lives in, and keeps writing for, the parent) and
      * marks the engine forked so runGrid() refuses instead of blocking

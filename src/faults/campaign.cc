@@ -1,13 +1,17 @@
 #include "faults/campaign.h"
 
+#include <algorithm>
+#include <deque>
 #include <fstream>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "runtime/stubs.h"
 #include "support/format.h"
 #include "support/json.h"
 #include "support/panic.h"
+#include "support/procpool.h"
 #include "support/table.h"
 
 namespace mxl {
@@ -100,27 +104,16 @@ trialLine(const TrialRecord &r)
     return j;
 }
 
-/** Required integer field of a journal line; fatal() when absent. */
+/** Required integer field of a journal line; fatal() when absent or
+ *  not an integer (a real such as 1.5 or 1e30 would truncate). */
 int64_t
 lineInt(const Json &j, const char *key, const std::string &line)
 {
     const Json *v = j.find(key);
-    if (!v || !v->isNumber())
-        fatal("campaign journal line missing '", key, "': ", line);
+    if (!v || (v->type() != Json::Type::Int &&
+               v->type() != Json::Type::Uint))
+        fatal("campaign journal line missing integer '", key, "': ", line);
     return v->asInt();
-}
-
-/** Inverse of backendName (journal parsing). */
-bool
-backendFromName(const std::string &name, Backend *out)
-{
-    for (Backend b : {Backend::Auto, Backend::Interpreter,
-                      Backend::Translated})
-        if (name == backendName(b)) {
-            *out = b;
-            return true;
-        }
-    return false;
 }
 
 /**
@@ -518,17 +511,17 @@ runCampaign(Engine &engine, const Campaign &campaign,
     // Classify one finished trial into its record: timeout retries
     // first (a loaded host must not turn scheduling jitter into
     // coverage noise), then outcome classification against the golden.
-    // Shared verbatim by the in-process grid path and the sandboxed
-    // children, so the two paths cannot diverge semantically.
-    auto classifyTrial = [&](size_t i, const RunReport &finished,
-                             TrialRecord &rec) {
+    // Shared verbatim by the in-process grid path and the sandbox
+    // workers, so the two paths cannot diverge semantically.
+    auto classifyTrial = [&](const RunRequest &req,
+                             const RunReport &finished, TrialRecord &rec) {
         const RunReport *rep = &finished;
         RunReport retried;
         for (int r = options.timeoutRetries;
              r > 0 && rep->status.code == RunStatus::Code::Timeout; --r) {
             // Inline re-run (engine.run() is safe from workers and from
             // forked children; only nested grids are refused).
-            retried = engine.run(reqs[i]);
+            retried = engine.run(req);
             rep = &retried;
         }
         const RunReport &golden =
@@ -541,24 +534,42 @@ runCampaign(Engine &engine, const Campaign &campaign,
         rec.backend = rep->backend;
     };
 
+    // Request ordinals not yet classified.
+    std::deque<size_t> pending;
+    for (size_t i = 0; i < reqs.size(); ++i)
+        pending.push_back(i);
+
     SandboxStats sandboxStats;
-    bool sandboxed = options.sandbox.enabled && sandboxSupported() &&
-                     !reqs.empty();
-    if (sandboxed) {
-        // ---- process-isolated path (sandbox.h) ----
-        // done/records indices here are request ordinals, not trial
-        // indices: the sandbox only sees the pending trials.
-        std::vector<char> sandboxDone(reqs.size(), 0);
-        SandboxJob job;
-        job.count = reqs.size();
-        job.engine = &engine;
-        job.runTrial = [&](size_t i, int) {
-            // CHILD: run + classify into a scratch copy, serialize.
+    if (options.sandbox.enabled && procPoolSupported() && !reqs.empty()) {
+        // ---- process-isolated path: one trial in flight per worker ----
+        // A task is {"i":ordinal,"a":attempt}; its result is the
+        // trial's journal line, classified in the worker.
+        const SandboxOptions &so = options.sandbox;
+        std::vector<int> attempts(reqs.size(), 0);
+        WorkerPoolOptions po;
+        po.workers = so.procs > 0
+                         ? so.procs
+                         : static_cast<int>(std::max(
+                               1u, std::thread::hardware_concurrency()));
+        po.backoffBaseMs = so.backoffBaseMs;
+        po.backoffCapMs = so.backoffCapMs;
+        // The watchdog is the trial's whole budget; a disabled one is a
+        // week, longer than any campaign.
+        po.defaultTaskSeconds =
+            so.watchdogSeconds > 0 ? so.watchdogSeconds : 7 * 86400.0;
+        po.watchdogGraceMs = 0;
+        po.childInit = [&engine](int) { engine.postFork(); };
+        po.runCell = [&](const Json &task, double, const std::string &) {
+            // WORKER: run + classify into a scratch copy, serialize.
+            size_t i = task.find("i")->asUint();
+            int attempt = static_cast<int>(task.find("a")->asInt());
+            if (so.childFaultHook)
+                so.childFaultHook(i, attempt);
             TrialRecord rec = records[reqRecord[i]];
-            classifyTrial(i, engine.run(reqs[i]), rec);
+            classifyTrial(reqs[i], engine.run(reqs[i]), rec);
             return trialLine(rec).dump();
         };
-        job.onDone = [&](size_t i, const std::string &payload) {
+        auto onDone = [&](uint64_t i, const std::string &payload) {
             TrialRecord &rec = records[reqRecord[i]];
             Json j;
             if (!Json::parse(payload, &j) || !j.isObject() ||
@@ -566,13 +577,18 @@ runCampaign(Engine &engine, const Campaign &campaign,
                 fatal("malformed sandbox trial payload: ", payload);
             emitTrial(rec);
         };
-        job.onAbandoned = [&](size_t i, bool watchdogKill, int termSignal) {
-            // The trial killed its child maxAttempts times; classify
+        auto onDeath = [&](uint64_t i, bool hang, int termSignal) {
+            if (++attempts[i] < so.maxAttempts) {
+                pending.push_front(i);
+                ++sandboxStats.requeues;
+                return;
+            }
+            // The trial killed its worker maxAttempts times; classify
             // from the death itself. Our hang-kill is a deadline by
             // another name; a fatal signal is the simulator losing
             // control — exactly CrashIllegalAccess's meaning.
             TrialRecord &rec = records[reqRecord[i]];
-            if (watchdogKill) {
+            if (hang) {
                 rec.outcome = Outcome::CycleLimit;
                 rec.errorCode = 0;
             } else {
@@ -584,35 +600,50 @@ runCampaign(Engine &engine, const Campaign &campaign,
             rec.backend = campaign.backend == Backend::Interpreter
                               ? Backend::Interpreter
                               : Backend::Auto;
+            ++sandboxStats.abandoned;
             emitTrial(rec);
         };
-        sandboxStats = runSandboxed(job, options.sandbox, sandboxDone);
-        if (sandboxStats.degraded) {
-            // Fork exhaustion: finish the leftovers in-process.
-            std::vector<RunRequest> rest;
-            std::vector<size_t> restIdx;
-            for (size_t i = 0; i < reqs.size(); ++i)
-                if (!sandboxDone[i]) {
-                    rest.push_back(reqs[i]);
-                    restIdx.push_back(i);
-                }
-            engine.runGrid(rest, [&](size_t i, const RunReport &finished) {
-                TrialRecord &rec = records[reqRecord[restIdx[i]]];
-                classifyTrial(restIdx[i], finished, rec);
-                emitTrial(rec);
-            });
+        WorkerPool pool(std::move(po), onDone, onDeath);
+        pool.start();
+        // The callbacks run inside pollOnce() and only classify or
+        // requeue; every dispatch happens here.
+        while (pool.busyWorkers() > 0 ||
+               (!pending.empty() && !pool.degraded())) {
+            while (!pending.empty() &&
+                   pool.dispatch(pending.front(),
+                                 strcat("{\"i\":", pending.front(),
+                                        ",\"a\":",
+                                        attempts[pending.front()], "}"),
+                                 0))
+                pending.pop_front();
+            pool.pollOnce(200);
         }
-    } else {
-        // ---- in-process path: one grid batch ----
-        // Classification happens in the per-cell completion callback so
-        // the journal always reflects exactly the finished trials: a
-        // campaign killed mid-grid resumes from the last flushed line.
-        engine.runGrid(reqs, [&](size_t i, const RunReport &finished) {
-            TrialRecord &rec = records[reqRecord[i]];
-            classifyTrial(i, finished, rec);
-            emitTrial(rec);
-        });
+        // Every worker is idle (or the breaker is open): they exit on
+        // EOF at once, so the drain bound is never reached.
+        pool.shutdown(5000);
+        WorkerPoolStats ps = pool.stats();
+        sandboxStats.spawns = ps.spawns;
+        sandboxStats.deaths = ps.deaths;
+        sandboxStats.watchdogKills = ps.hangKills;
+        sandboxStats.degraded = ps.breakerOpen;
     }
+
+    // ---- in-process path: one grid batch ----
+    // Every trial without the sandbox; after fork exhaustion, the ones
+    // the workers did not finish. Classification happens in the
+    // per-cell completion callback so the journal always reflects
+    // exactly the finished trials: a campaign killed mid-grid resumes
+    // from the last flushed line.
+    std::vector<size_t> rest(pending.begin(), pending.end());
+    std::vector<RunRequest> restReqs;
+    restReqs.reserve(rest.size());
+    for (size_t i : rest)
+        restReqs.push_back(std::move(reqs[i]));
+    engine.runGrid(restReqs, [&](size_t j, const RunReport &finished) {
+        TrialRecord &rec = records[reqRecord[rest[j]]];
+        classifyTrial(restReqs[j], finished, rec);
+        emitTrial(rec);
+    });
 
     // ---- aggregate ----
     CampaignResult result;

@@ -47,12 +47,12 @@
 #define MXLISP_FAULTS_CAMPAIGN_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "faults/fault_injector.h"
-#include "faults/sandbox.h"
 
 namespace mxl {
 
@@ -158,6 +158,54 @@ struct CampaignCell
     }
 };
 
+/**
+ * Process isolation for a campaign's faulted trials
+ * (CampaignRunOptions::sandbox): trials run on persistent forked
+ * workers (support/procpool.h), one trial in flight per worker.
+ */
+struct SandboxOptions
+{
+    bool enabled = false; ///< route trials through forked workers
+
+    /** Concurrent worker processes; 0 = hardware_concurrency(). */
+    int procs = 0;
+
+    /** Worker deaths one trial may cause before it is abandoned and
+     *  classified from the last death's evidence. */
+    int maxAttempts = 3;
+
+    /** A worker running one trial for this long is killed (presumed
+     *  hung). 0 disables the watchdog. Size it above the campaign's
+     *  own per-trial deadline so legitimate slow trials survive. */
+    double watchdogSeconds = 0;
+
+    /** Respawn backoff after a worker death: base * 2^(n-1) ms,
+     *  capped, for a slot's n-th consecutive death. Only the dead slot
+     *  waits; the others keep running trials. */
+    int backoffBaseMs = 50;
+    int backoffCapMs = 2000;
+
+    /**
+     * Test chaos seam, invoked IN THE WORKER before each trial runs
+     * with the trial's request ordinal and its attempt (0 = first).
+     * Tests use it to crash or hang specific (ordinal, attempt) pairs
+     * and assert the parent's containment behavior. Null in production.
+     */
+    std::function<void(size_t ordinal, int attempt)> childFaultHook;
+};
+
+/** What the campaign parent observed of its sandbox workers. */
+struct SandboxStats
+{
+    int spawns = 0;        ///< workers forked (incl. respawns)
+    int deaths = 0;        ///< abnormal worker exits (signal / nonzero)
+    int watchdogKills = 0; ///< workers we killed for a hung trial
+    int requeues = 0;      ///< culprit trials re-dispatched after a death
+    int abandoned = 0;     ///< trials that exhausted maxAttempts
+    bool degraded = false; ///< fork failed persistently; the remaining
+                           ///< trials ran in-process
+};
+
 /** Everything runCampaign() measures. */
 struct CampaignResult
 {
@@ -251,17 +299,19 @@ struct CampaignRunOptions
     std::function<void(const TrialRecord &)> onTrial;
 
     /**
-     * Process isolation for the faulted trials (sandbox.h). With
-     * sandbox.enabled on a supported platform, pending trials run in
-     * forked child processes instead of the engine's worker grid:
-     * goldens, classification semantics, journaling, and the resulting
-     * matrix are identical, but a trial that crashes or hangs the
-     * simulator kills only its child, is retried with backoff, and
-     * after SandboxOptions::maxAttempts is classified from its death
-     * (hang-kill -> CycleLimit; fatal signal -> CrashIllegalAccess
-     * with errorCode = -signal). Ignored where sandboxSupported() is
-     * false, and degrades back to in-process execution if fork fails
-     * persistently.
+     * Process isolation for the faulted trials. With sandbox.enabled
+     * on a supported platform, pending trials run on persistent forked
+     * workers, one in flight per worker, instead of the engine's
+     * worker grid: goldens, classification semantics, journaling, and
+     * the resulting matrix are identical, but a trial that crashes or
+     * hangs the simulator kills only its worker. Because each worker
+     * runs one trial at a time, the dead worker's trial is the culprit:
+     * it is re-dispatched to a fresh worker, and after
+     * SandboxOptions::maxAttempts deaths it is classified from the
+     * last one (hang-kill -> CycleLimit; fatal signal ->
+     * CrashIllegalAccess with errorCode = -signal). Ignored where
+     * procPoolSupported() is false, and degrades back to in-process
+     * execution if fork fails persistently.
      */
     SandboxOptions sandbox;
 };

@@ -165,7 +165,7 @@ class MetricsRegistry
      * did not change are omitted. @p *baseline is advanced to the
      * current snapshot, so successive calls relay disjoint deltas —
      * the worker side of the fork-boundary metrics relay
-     * (serve/pool.h): each result batch carries only what happened
+     * (support/procpool.h): each result carries only what happened
      * since the previous one.
      */
     Json deltaJson(Json *baseline) const;

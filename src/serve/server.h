@@ -9,7 +9,7 @@
  *   listeners ──accept──> connections ──frames──> admission queue
  *        (unix socket, optional 127.0.0.1 TCP)        (bounded)
  *                                                        │ dispatch
- *   worker pool (serve/pool.h: forked, watchdogged) <────┘
+ *   worker pool (support/procpool.h: watchdogged) <──────┘
  *        │ result / death-evidence frames
  *        └──> per-cell "cell" responses streamed back, then one
  *             terminal "done" — or "overloaded"/"error" at admission.
@@ -57,8 +57,8 @@
 #include "obs/log.h"
 #include "obs/trace.h"
 #include "serve/admission.h"
-#include "serve/pool.h"
 #include "serve/wire.h"
+#include "support/procpool.h"
 
 namespace mxl {
 
@@ -252,7 +252,7 @@ class Server
 
     // Observability: the service trace (lane 1 = this process;
     // workerTrace_ is the recorder forked workers record into on lane
-    // 2 + slot, drained back over the result pipe), the structured
+    // 2 + slot, drained back over the result channel), the structured
     // event log, and the child-side metrics baseline for delta relays.
     bool traceEnabled_ = false;
     TraceRecorder trace_;

@@ -1,7 +1,6 @@
 #include "serve/wire.h"
 
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <random>
 
@@ -46,18 +45,6 @@ schemeKindFromName(const std::string &name, SchemeKind *out)
 }
 
 bool
-backendFromName(const std::string &name, Backend *out)
-{
-    for (Backend b :
-         {Backend::Auto, Backend::Interpreter, Backend::Translated})
-        if (name == backendName(b)) {
-            *out = b;
-            return true;
-        }
-    return false;
-}
-
-bool
 faultClassFromName(const std::string &name, FaultClass *out)
 {
     for (FaultClass c :
@@ -88,77 +75,6 @@ fieldUint(const Json &o, const char *key, uint64_t dflt)
 }
 
 } // namespace
-
-std::string
-encodeFrame(const std::string &payload)
-{
-    std::string out = std::to_string(payload.size());
-    out += '\n';
-    out += payload;
-    out += '\n';
-    return out;
-}
-
-std::string
-encodeFrame(const Json &j)
-{
-    return encodeFrame(j.dump());
-}
-
-void
-FrameReader::feed(const char *data, size_t n)
-{
-    if (error_)
-        return;
-    buf_.append(data, n);
-}
-
-bool
-FrameReader::next(std::string *payload)
-{
-    if (error_)
-        return false;
-    // <digits>'\n'<len bytes>'\n'
-    size_t nl = buf_.find('\n');
-    if (nl == std::string::npos) {
-        if (buf_.size() > 32) {
-            error_ = true;
-            errorText_ = "frame length prefix is not a number";
-        }
-        return false;
-    }
-    if (nl == 0 || nl > 20) {
-        error_ = true;
-        errorText_ = "frame length prefix is not a number";
-        return false;
-    }
-    size_t len = 0;
-    for (size_t i = 0; i < nl; ++i) {
-        char c = buf_[i];
-        if (!std::isdigit(static_cast<unsigned char>(c))) {
-            error_ = true;
-            errorText_ = "frame length prefix is not a number";
-            return false;
-        }
-        len = len * 10 + static_cast<size_t>(c - '0');
-    }
-    if (len > kMaxFrameBytes) {
-        error_ = true;
-        errorText_ = strcat("frame of ", len, " bytes exceeds the ",
-                            kMaxFrameBytes, "-byte limit");
-        return false;
-    }
-    if (buf_.size() < nl + 1 + len + 1)
-        return false; // incomplete; wait for more bytes
-    if (buf_[nl + 1 + len] != '\n') {
-        error_ = true;
-        errorText_ = "frame payload is not newline-terminated";
-        return false;
-    }
-    payload->assign(buf_, nl + 1, len);
-    buf_.erase(0, nl + 1 + len + 1);
-    return true;
-}
 
 bool
 parseCell(const Json &cell, WireCell *out, std::string *err)

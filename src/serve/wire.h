@@ -1,18 +1,13 @@
 /**
  * @file
- * The measurement service's wire protocol: length-prefixed JSONL
- * frames and the grid-cell codec.
+ * The measurement service's wire protocol: requests and responses
+ * carried in length-prefixed frames (support/frame.h), and the
+ * grid-cell codec.
  *
  * Every message between a client and mxl-served — and between the
- * server and its forked workers — is one frame:
- *
- *     <decimal byte length of payload> '\n' <payload> '\n'
- *
- * where the payload is a single-line JSON object (the same compact
- * dump the campaign journal uses, support/json.h). The explicit
- * length keeps framing robust against payloads of any size and lets a
- * reader reject runaway input before buffering it; the trailing
- * newline keeps captured streams greppable and JSONL-toolable.
+ * server and its forked workers — is one frame whose payload is a
+ * single-line JSON object (the same compact dump the campaign journal
+ * uses, support/json.h).
  *
  * Client requests ("type" selects the verb):
  *
@@ -63,17 +58,14 @@
 #ifndef MXLISP_SERVE_WIRE_H_
 #define MXLISP_SERVE_WIRE_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "core/engine.h"
+#include "support/frame.h"
 #include "support/json.h"
 
 namespace mxl {
-
-/** Frames larger than this are a protocol error (runaway guard). */
-inline constexpr size_t kMaxFrameBytes = 64u << 20;
 
 /**
  * A fresh request trace id: "t" + 16 hex digits, unique across
@@ -82,40 +74,6 @@ inline constexpr size_t kMaxFrameBytes = 64u << 20;
  * by the server for requests that arrive without one.
  */
 std::string makeTraceId();
-
-/** Encode @p payload as one wire frame. */
-std::string encodeFrame(const std::string &payload);
-
-/** Json convenience: encodeFrame(j.dump()). */
-std::string encodeFrame(const Json &j);
-
-/**
- * Incremental frame decoder. Feed raw bytes; next() yields complete
- * payloads in arrival order. A malformed prefix (non-digit length,
- * oversized frame, missing terminator) poisons the reader — error()
- * stays set and next() returns false forever; the connection owning
- * the stream must be dropped.
- */
-class FrameReader
-{
-  public:
-    void feed(const char *data, size_t n);
-    void feed(const std::string &s) { feed(s.data(), s.size()); }
-
-    /** Pop the next complete payload; false when none (or error). */
-    bool next(std::string *payload);
-
-    bool error() const { return error_; }
-    const std::string &errorText() const { return errorText_; }
-
-    /** Bytes buffered but not yet consumed (tests). */
-    size_t pendingBytes() const { return buf_.size(); }
-
-  private:
-    std::string buf_;
-    bool error_ = false;
-    std::string errorText_;
-};
 
 /** Decoded form of one wire CELL object (see file comment). */
 struct WireCell
@@ -133,7 +91,7 @@ struct WireCell
  */
 bool parseCell(const Json &cell, WireCell *out, std::string *err);
 
-/** Re-encode @p cell for the worker pipe: the cell JSON is forwarded
+/** Re-encode @p cell for the worker channel: the cell JSON is forwarded
  *  verbatim between admission and execution, so this is the identity
  *  the server stores alongside each admitted task. */
 Json cellToJson(const RunRequest &req);
@@ -142,7 +100,7 @@ Json cellToJson(const RunRequest &req);
  * The per-cell report object inside a "cell" response: statusOk,
  * status/stop/errorCode/exitValue, stats totals, backend, wall time.
  * A worker-death report is synthesized with statusOk=false and a
- * "workerDeath" object instead (serve/pool.h).
+ * "workerDeath" object instead (support/procpool.h).
  */
 Json reportToJson(const RunReport &rep);
 

@@ -58,7 +58,11 @@ Json::asInt(int64_t dflt) const
       case Type::Uint:
         return static_cast<int64_t>(uint_);
       case Type::Real:
-        return static_cast<int64_t>(real_);
+        // Truncate only reals that fit: converting a non-finite or
+        // out-of-range double is undefined behaviour.
+        return real_ >= -0x1p63 && real_ < 0x1p63
+                   ? static_cast<int64_t>(real_)
+                   : dflt;
       default:
         return dflt;
     }
@@ -73,7 +77,10 @@ Json::asUint(uint64_t dflt) const
       case Type::Int:
         return static_cast<uint64_t>(int_);
       case Type::Real:
-        return static_cast<uint64_t>(real_);
+        // As asInt: only reals whose truncation fits (NaN fails both).
+        return real_ > -1.0 && real_ < 0x1p64
+                   ? static_cast<uint64_t>(real_)
+                   : dflt;
       default:
         return dflt;
     }

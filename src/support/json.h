@@ -100,7 +100,8 @@ class Json
         return obj_[i];
     }
 
-    // Scalar accessors; wrong-type access returns the default.
+    // Scalar accessors; wrong-type access returns the default, as does
+    // a real whose truncation the integer type cannot hold.
     bool asBool(bool dflt = false) const;
     int64_t asInt(int64_t dflt = 0) const;
     uint64_t asUint(uint64_t dflt = 0) const;

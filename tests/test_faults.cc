@@ -622,6 +622,41 @@ TEST(Campaign, ResumeRejectsJournalFromDifferentCampaign)
     std::remove(path.c_str());
 }
 
+TEST(Campaign, ResumeRejectsNonIntegerTrialCoordinates)
+{
+    // A journal coordinate must be an integer: 1.5 would truncate to
+    // trial 1 and 1e30 has no int64 value at all.
+    const std::string path = tempJournal("journal_real_coords.jsonl");
+    Engine eng(2);
+    Campaign c = smallCampaign();
+    c.trials = 2;
+    for (const char *bad : {"1.5", "1e30"}) {
+        std::remove(path.c_str());
+        CampaignRunOptions options;
+        options.journalPath = path;
+        runCampaign(eng, c, options);
+        std::vector<std::string> lines = readLines(path);
+        ASSERT_GT(lines.size(), 1u);
+        ASSERT_EQ(lines[1].rfind("{\"p\":", 0), 0u) << lines[1];
+        const size_t comma = lines[1].find(',');
+        lines[1].replace(5, comma - 5, bad);
+        {
+            std::ofstream out(path, std::ios::trunc);
+            for (const std::string &line : lines)
+                out << line << "\n";
+        }
+        try {
+            resumeCampaign(eng, c, path);
+            FAIL() << "resume accepted \"p\":" << bad;
+        } catch (const MxlError &e) {
+            EXPECT_NE(std::string(e.what()).find("campaign journal"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
+}
+
 TEST(Campaign, BrokenGoldenSkipsItsTrialsInsteadOfAborting)
 {
     Engine eng(2);

@@ -1,27 +1,33 @@
 /**
- * Process-isolation tests for fault campaigns (faults/sandbox.h): the
- * sandboxed execution path must produce the same coverage matrix as
- * the in-process path, contain injected child crashes and hangs
- * without losing the parent, classify abandoned culprits from their
- * death evidence, and interoperate with the resume journal. The suite
- * forks real children, so it carries its own ctest label (`sandbox`)
- * and should also be run under -DMXL_SANITIZE=address to check the
- * parent's pipe bookkeeping.
+ * Process-isolation tests for fault campaigns: sandboxed trials run on
+ * the persistent worker pool (support/procpool.h), one trial in flight
+ * per worker, so a worker's death indicts exactly the trial it was
+ * running. The sandboxed path must produce the same coverage matrix
+ * as the in-process path, contain injected worker crashes and hangs
+ * without losing the parent, re-dispatch only the culprit, classify
+ * abandoned culprits from their death evidence, and interoperate with
+ * the resume journal. The pool itself must survive writing to a
+ * worker that died idle without any SIGPIPE handling from its host.
+ * The suite forks real workers, so it carries its own ctest label
+ * (`sandbox`) and should also be run under -DMXL_SANITIZE=address to
+ * check the parent's channel and frame bookkeeping.
  */
 
+#include <chrono>
 #include <csignal>
 
 #include <gtest/gtest.h>
 
 #ifdef __unix__
+#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "faults/campaign.h"
-#include "faults/sandbox.h"
 #include "support/json.h"
+#include "support/procpool.h"
 
 #include <fstream>
 #include <string>
@@ -74,7 +80,6 @@ sandboxOptions()
     CampaignRunOptions o;
     o.sandbox.enabled = true;
     o.sandbox.procs = 2;
-    o.sandbox.batchTrials = 6; // several batches, several spawns
     o.sandbox.watchdogSeconds = 20;
     o.sandbox.backoffBaseMs = 10; // keep retry tests fast
     o.sandbox.backoffCapMs = 50;
@@ -86,42 +91,7 @@ sandboxOptions()
 TEST(Sandbox, SupportedOnThisPlatform)
 {
     // The rest of the suite forks; this pins the gate it relies on.
-    ASSERT_TRUE(sandboxSupported());
-}
-
-TEST(Sandbox, RunSandboxedRoutesPayloadsAndSkipsDoneTrials)
-{
-    Engine eng(1);
-    SandboxJob job;
-    job.count = 9;
-    job.engine = &eng;
-    job.runTrial = [](size_t ordinal, int attempt) {
-        return "payload-" + std::to_string(ordinal) + "-" +
-               std::to_string(attempt);
-    };
-    std::vector<std::string> payloads(job.count);
-    job.onDone = [&](size_t ordinal, const std::string &payload) {
-        payloads[ordinal] = payload;
-    };
-    job.onAbandoned = [](size_t, bool, int) { FAIL(); };
-
-    std::vector<char> done(job.count, 0);
-    done[3] = 1; // pre-marked (e.g. restored from a journal): skipped
-    SandboxOptions opts = sandboxOptions().sandbox;
-    SandboxStats stats = runSandboxed(job, opts, done);
-
-    EXPECT_GT(stats.spawns, 0);
-    EXPECT_EQ(stats.deaths, 0);
-    EXPECT_EQ(stats.abandoned, 0);
-    EXPECT_FALSE(stats.degraded);
-    for (size_t i = 0; i < job.count; ++i) {
-        EXPECT_EQ(done[i], 1) << i;
-        if (i == 3)
-            EXPECT_EQ(payloads[i], ""); // never ran
-        else
-            EXPECT_EQ(payloads[i],
-                      "payload-" + std::to_string(i) + "-0");
-    }
+    ASSERT_TRUE(procPoolSupported());
 }
 
 TEST(Sandbox, CampaignMatrixMatchesInProcess)
@@ -169,13 +139,39 @@ TEST(Sandbox, ContainsChildCrashAndHangThenConverges)
     CampaignResult r = runCampaign(e2, c, chaos);
 
     EXPECT_GE(r.sandbox.deaths, 2); // the SEGV and the hang-kill
-    // >=, not ==: under a sanitizer's slowdown innocent batches can
-    // trip the short progress watchdog too; retries absorb those.
+    // >=, not ==: under a sanitizer's slowdown innocent trials can
+    // trip the short watchdog too; retries absorb those.
     EXPECT_GE(r.sandbox.watchdogKills, 1);
     EXPECT_GT(r.sandbox.requeues, 0);
     EXPECT_EQ(r.sandbox.abandoned, 0);
     EXPECT_FALSE(r.sandbox.degraded);
     EXPECT_EQ(matrixKey(r), matrixKey(inproc));
+}
+
+TEST(Sandbox, WorkerDeathRequeuesOnlyTheInFlightTrial)
+{
+    // One worker, one first-attempt SIGSEGV: the dead worker was
+    // running exactly one trial, so exactly that trial is re-dispatched
+    // and nothing else is redone.
+    Campaign c = smallCampaign();
+    Engine e1(2);
+    CampaignResult inproc = runCampaign(e1, c);
+
+    Engine e2(2);
+    CampaignRunOptions opts = sandboxOptions();
+    opts.sandbox.procs = 1;
+    opts.sandbox.childFaultHook = [](size_t ordinal, int attempt) {
+        if (ordinal == 7 && attempt == 0)
+            raise(SIGSEGV);
+    };
+    CampaignResult r = runCampaign(e2, c, opts);
+
+    EXPECT_EQ(r.sandbox.deaths, 1);
+    EXPECT_EQ(r.sandbox.requeues, 1);
+    EXPECT_EQ(r.sandbox.abandoned, 0);
+    EXPECT_EQ(r.sandbox.spawns, 2); // the first worker and its respawn
+    EXPECT_EQ(matrixKey(r), matrixKey(inproc));
+    EXPECT_EQ(r.renderMatrix(), inproc.renderMatrix());
 }
 
 TEST(Sandbox, PersistentCrashIsAbandonedAsItsDeathEvidence)
@@ -292,4 +288,106 @@ TEST(Sandbox, SandboxJournalResumesInProcess)
     EXPECT_EQ(matrixKey(resumed), matrixKey(full));
     EXPECT_EQ(resumed.renderMatrix(), full.renderMatrix());
     std::remove(path.c_str());
+}
+
+TEST(Sandbox, SandboxedResumeDispatchesOnlyUnjournaledTrials)
+{
+    // A half-journaled campaign resumed WITH the sandbox: the restored
+    // trials never reach a worker, the rest run there, and the matrix
+    // converges on the uninterrupted run's.
+    const std::string path =
+        testing::TempDir() + "sandbox_sandboxed_resume.jsonl";
+    std::remove(path.c_str());
+
+    Campaign c = smallCampaign();
+    Engine e1(2);
+    CampaignRunOptions first;
+    first.journalPath = path;
+    CampaignResult full = runCampaign(e1, c, first);
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            if (!line.empty())
+                lines.push_back(line);
+    }
+    ASSERT_GT(lines.size(), 3u);
+    const size_t keep = (lines.size() - 1) / 2;
+    {
+        std::ofstream out(path, std::ios::trunc);
+        for (size_t i = 0; i <= keep; ++i)
+            out << lines[i] << "\n";
+    }
+
+    Engine e2(2);
+    CampaignRunOptions resume = sandboxOptions();
+    resume.journalPath = path;
+    resume.resume = true;
+    size_t classified = 0;
+    resume.onTrial = [&](const TrialRecord &) { ++classified; };
+    CampaignResult resumed = runCampaign(e2, c, resume);
+
+    EXPECT_EQ(resumed.journaled, keep);
+    EXPECT_EQ(classified, full.trials.size() - keep);
+    EXPECT_GT(resumed.sandbox.spawns, 0);
+    EXPECT_EQ(resumed.sandbox.deaths, 0);
+    EXPECT_EQ(matrixKey(resumed), matrixKey(full));
+    EXPECT_EQ(resumed.renderMatrix(), full.renderMatrix());
+    std::remove(path.c_str());
+}
+
+TEST(Sandbox, PoolSurvivesDispatchToWorkerThatDiedIdle)
+{
+    // No Server here, so nothing has set SIGPIPE to SIG_IGN: the pool's
+    // own write to the dead worker's task channel must not raise it.
+    ::signal(SIGPIPE, SIG_DFL);
+    std::vector<std::string> results;
+    int failures = 0;
+    WorkerPoolOptions po;
+    po.workers = 1;
+    po.backoffBaseMs = 10;
+    po.backoffCapMs = 50;
+    po.runCell = [](const Json &cell, double, const std::string &) {
+        return cell.dump();
+    };
+    WorkerPool pool(
+        po,
+        [&](uint64_t, const std::string &payload) {
+            results.push_back(payload);
+        },
+        [&](uint64_t, bool, int) { ++failures; });
+    pool.start();
+    ASSERT_EQ(pool.idleWorkers(), 1);
+    const pid_t pid = pool.workerPids().at(0);
+    ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    // Wait for the exit without reaping it: the pool still owns it.
+    siginfo_t info{};
+    ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(pid), &info,
+                       WEXITED | WNOWAIT),
+              0);
+
+    // The first dispatch finds the corpse and reaps it; the slot
+    // respawns after its backoff and takes the task.
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    bool dispatched = false;
+    while (!dispatched && std::chrono::steady_clock::now() < giveUp) {
+        dispatched = pool.dispatch(1, "{\"x\":1}", 0);
+        if (!dispatched)
+            pool.pollOnce(50);
+    }
+    ASSERT_TRUE(dispatched);
+    while (results.empty() && std::chrono::steady_clock::now() < giveUp)
+        pool.pollOnce(50);
+    ASSERT_EQ(results.size(), 1u);
+    Json echoed;
+    ASSERT_TRUE(Json::parse(results[0], &echoed)) << results[0];
+    ASSERT_NE(echoed.find("x"), nullptr);
+    EXPECT_EQ(echoed.find("x")->asInt(), 1);
+    EXPECT_EQ(failures, 0); // the dead worker held no task
+    EXPECT_EQ(pool.stats().deaths, 1);
+    EXPECT_EQ(pool.stats().respawns, 1);
+    pool.shutdown(5000);
 }

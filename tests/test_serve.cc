@@ -121,6 +121,13 @@ TEST(Wire, FrameReaderRejectsOversizedAndUnterminated)
     EXPECT_FALSE(oversized.next(&payload));
     EXPECT_TRUE(oversized.error());
 
+    // 2^64 + 1: twenty digits that would wrap size_t into a one-byte
+    // frame if the prefix were summed unchecked.
+    FrameReader wrapped;
+    wrapped.feed("18446744073709551617\nX\n");
+    EXPECT_FALSE(wrapped.next(&payload));
+    EXPECT_TRUE(wrapped.error());
+
     FrameReader unterminated;
     unterminated.feed("2\n{}X"); // payload not newline-terminated
     EXPECT_FALSE(unterminated.next(&payload));

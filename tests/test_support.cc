@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "support/bits.h"
 #include "support/format.h"
 #include "support/json.h"
@@ -197,6 +200,30 @@ TEST(Json, ParseAcceptsValidRejectsMalformed)
     EXPECT_FALSE(Json::parse("[1,]", &v));
     EXPECT_FALSE(Json::parse("1 2", &v)); // trailing content
     EXPECT_FALSE(Json::parse("nul", &v));
+}
+
+TEST(Json, IntegerAccessorsRejectRealsTheTypeCannotHold)
+{
+    // Truncating a real the integer type cannot represent is undefined
+    // behaviour; the accessors hand back the caller's default instead.
+    Json huge;
+    ASSERT_TRUE(Json::parse("1e30", &huge));
+    EXPECT_EQ(huge.asInt(7), 7);
+    EXPECT_EQ(huge.asUint(7), 7u);
+    Json minusOne;
+    ASSERT_TRUE(Json::parse("-1.0", &minusOne));
+    EXPECT_EQ(minusOne.asUint(7), 7u);
+    EXPECT_EQ(minusOne.asInt(7), -1);
+    EXPECT_EQ(Json(std::nan("")).asInt(7), 7);
+    EXPECT_EQ(Json(HUGE_VAL).asUint(7), 7u);
+    EXPECT_EQ(Json(-HUGE_VAL).asInt(7), 7);
+
+    // Reals that fit still truncate toward zero.
+    EXPECT_EQ(Json(1.5).asInt(), 1);
+    EXPECT_EQ(Json(-2.5).asInt(), -2);
+    EXPECT_EQ(Json(-0.5).asUint(7), 0u);
+    EXPECT_EQ(Json(0x1p63).asUint(), uint64_t{1} << 63);
+    EXPECT_EQ(Json(-0x1p63).asInt(), INT64_MIN);
 }
 
 TEST(Json, StringEscapesRoundTrip)
