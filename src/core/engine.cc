@@ -15,30 +15,25 @@ namespace {
 /**
  * A pristine image is almost entirely zeros (the heap and stack start
  * empty; only the static area is populated), so cached units keep just
- * the prefix up to the last nonzero word.
+ * the prefix up to the last nonzero word. compileUnit writes nothing
+ * at or above layout.staticLimit (ImageBuilder::setWord asserts it), so
+ * the scan starts there.
  */
 Memory
-trimToLivePrefix(const Memory &full)
+trimToLivePrefix(const Memory &full, const RuntimeLayout &layout)
 {
-    uint32_t words = full.size() / 4;
-    uint32_t live = words;
+    uint32_t live = (layout.staticLimit + 3) / 4;
     while (live > 0 && full.word(live - 1) == 0)
         --live;
-    Memory t(live * 4);
-    for (uint32_t i = 0; i < live; ++i)
-        t.word(i) = full.word(i);
-    return t;
+    return Memory(live * 4, full);
 }
 
-/** Rebuild the full-size pristine image from a trimmed cached unit. */
+/** Rebuild the full-size pristine image from a trimmed cached unit: a
+ *  fresh lazily zeroed image with the live prefix copied in. */
 Memory
 expandImage(const CompiledUnit &unit)
 {
-    Memory full(unit.layout.memBytes);
-    uint32_t live = unit.memory.size() / 4;
-    for (uint32_t i = 0; i < live; ++i)
-        full.word(i) = unit.memory.word(i);
-    return full;
+    return Memory(unit.layout.memBytes, unit.memory);
 }
 
 /**
@@ -188,7 +183,7 @@ Engine::getOrCompile(const std::string &source, const CompilerOptions &opts,
     Compiled c;
     try {
         auto unit = std::make_shared<CompiledUnit>(compileUnit(source, opts));
-        unit->memory = trimToLivePrefix(unit->memory);
+        unit->memory = trimToLivePrefix(unit->memory, unit->layout);
         c.unit = std::move(unit);
     } catch (const MxlError &e) {
         c.status.code = e.kind == MxlError::Kind::Fatal
@@ -333,9 +328,13 @@ Engine::execute(const RunRequest &req)
                 mFallbacks_.inc();
             }
 
-            Memory image = expandImage(*unit);
-            if (req.hooks.imageMutator)
-                req.hooks.imageMutator(image, *unit);
+            Memory image =
+                timed(mImageMicros_, tr, "image", req.label, [&] {
+                    Memory m = expandImage(*unit);
+                    if (req.hooks.imageMutator)
+                        req.hooks.imageMutator(m, *unit);
+                    return m;
+                });
             const char *runCat = useTrans ? "engine/translated"
                                           : "engine/interpreter";
             auto tRun = std::chrono::steady_clock::now();

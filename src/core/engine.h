@@ -458,6 +458,7 @@ class Engine
     Counter &mTranslateMicros_ =
         metrics_.counter("engine.translate_micros");
     Counter &mVerifyMicros_ = metrics_.counter("engine.verify_micros");
+    Counter &mImageMicros_ = metrics_.counter("engine.image_micros");
     Counter &mRunMicros_ = metrics_.counter("engine.run_micros");
     Counter &mRuns_ = metrics_.counter("engine.runs");
     Counter &mTimeouts_ = metrics_.counter("engine.timeouts");

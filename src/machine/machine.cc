@@ -41,7 +41,7 @@ Machine::Machine(const Program &prog, Memory mem, HardwareConfig hw,
         panic("tag hardware enabled without a tag scheme");
     }
     if (hw_.memTagging)
-        memLocks_.assign(mem_.size() / 4, kMemTagUnpainted);
+        memLocks_ = ZeroedArray<uint8_t>(mem_.size() / 4);
 }
 
 bool
@@ -55,23 +55,24 @@ Machine::memTagAccess(uint32_t baseWord, uint32_t addr, bool isStore,
         // Raw access (allocator, GC, stack frames addressed via sp):
         // a raw store releases the word's lock; a raw load bypasses.
         if (isStore)
-            memLocks_[w] = kMemTagUnpainted;
+            memLocks_[w] = 0;
         return true;
     }
-    uint8_t key = static_cast<uint8_t>(scheme_->primaryTag(baseWord));
+    // Locks hold key + 1; 0 is unpainted (see memLocks_).
+    uint8_t stored = static_cast<uint8_t>(scheme_->primaryTag(baseWord) + 1);
     if (isStore) {
         // Write-repaint: a keyed store claims the word for its key.
-        memLocks_[w] = key;
+        memLocks_[w] = stored;
         return true;
     }
     uint8_t lock = memLocks_[w];
-    if (lock == kMemTagUnpainted) {
-        memLocks_[w] = key; // first keyed read paints
+    if (lock == 0) {
+        memLocks_[w] = stored; // first keyed read paints
         return true;
     }
-    if (lock != key) {
+    if (lock != stored) {
         regs_[abi::trapA] = baseWord;
-        regs_[abi::trapB] = lock;
+        regs_[abi::trapB] = lock - 1u;
         trap(TrapKind::TagMismatch, idx);
         return false;
     }

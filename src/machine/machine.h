@@ -26,6 +26,7 @@
 #include "isa/instruction.h"
 #include "machine/cycle_stats.h"
 #include "machine/memory.h"
+#include "support/zeroed.h"
 #include "tags/tag_scheme.h"
 
 namespace mxl {
@@ -238,13 +239,14 @@ class Machine
 
     /**
      * memTagging lock byte for memory word index @p w (kMemTagUnpainted
-     * when unpainted or the feature is off). Exposed for tests and for
-     * snapshot carry.
+     * when unpainted or the feature is off). Exposed for tests.
      */
     uint8_t
     memTagLock(uint32_t w) const
     {
-        return w < memLocks_.size() ? memLocks_[w] : kMemTagUnpainted;
+        // Stored as key + 1 (0 = unpainted), so 0 - 1 wraps to 0xff.
+        return w < memLocks_.size() ? static_cast<uint8_t>(memLocks_[w] - 1)
+                                    : kMemTagUnpainted;
     }
 
   private:
@@ -305,7 +307,9 @@ class Machine
     StopReason stop_ = StopReason::Running;
     int faultIndex_ = -1;
     int pendingLoadReg_ = -1;  ///< load-delay interlock tracking
-    std::vector<uint8_t> memLocks_; ///< memTagging per-word locks
+    /** memTagging per-word locks, stored as key + 1 so that 0 means
+     *  unpainted and a fresh array is lazily zeroed storage. */
+    ZeroedArray<uint8_t> memLocks_;
     uint64_t *profExec_ = nullptr;   ///< attachProfile issue counts
     uint64_t *profCycles_ = nullptr; ///< attachProfile cycle counts
 

@@ -5,7 +5,12 @@
 
 namespace mxl {
 
-Memory::Memory(uint32_t bytes) : words_((bytes + 3) / 4, 0)
+Memory::Memory(uint32_t bytes) : words_((bytes + 3) / 4)
+{
+}
+
+Memory::Memory(uint32_t bytes, const Memory &from)
+    : words_((bytes + 3) / 4, from.words_)
 {
 }
 
@@ -42,7 +47,7 @@ Memory::word(uint32_t index) const
 }
 
 void
-Memory::setWords(const std::vector<uint32_t> &w)
+Memory::setWords(const ZeroedArray<uint32_t> &w)
 {
     MXL_ASSERT(w.size() == words_.size(),
                "setWords size mismatch: ", w.size(), " != ",

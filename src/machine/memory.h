@@ -10,20 +10,33 @@
  * beyond the image raise fatal() (an MxlError), and callers that need a
  * non-throwing path — the Machine turns a wild access into a
  * StopReason::IllegalAccess stop — probe with inBounds() first.
+ *
+ * The words are lazily zeroed storage (support/zeroed.h): building an
+ * image writes nothing, a page costs host memory only once something
+ * touches it, and a copy carries only the source's nonzero pages. A
+ * run of the default 32 MiB image dirties a few hundred KiB of it (the
+ * static area, the heap it allocates, the stack it uses), so images
+ * are cheap to make per compile, per run and per snapshot.
  */
 
 #ifndef MXLISP_MACHINE_MEMORY_H_
 #define MXLISP_MACHINE_MEMORY_H_
 
 #include <cstdint>
-#include <vector>
+
+#include "support/zeroed.h"
 
 namespace mxl {
 
 class Memory
 {
   public:
+    /** An all-zero image of @p bytes (rounded up to whole words). */
     explicit Memory(uint32_t bytes);
+
+    /** An image of @p bytes whose leading words are @p from's (as many
+     *  as fit) and whose remaining words are zero. */
+    Memory(uint32_t bytes, const Memory &from);
 
     /** Size in bytes. */
     uint32_t size() const { return static_cast<uint32_t>(words_.size()) * 4; }
@@ -48,13 +61,13 @@ class Memory
     uint32_t word(uint32_t index) const;
 
     /** The whole image, word-indexed (snapshot capture/restore). */
-    const std::vector<uint32_t> &words() const { return words_; }
+    const ZeroedArray<uint32_t> &words() const { return words_; }
 
     /** Replace the image contents; @p w must match the current size. */
-    void setWords(const std::vector<uint32_t> &w);
+    void setWords(const ZeroedArray<uint32_t> &w);
 
   private:
-    std::vector<uint32_t> words_;
+    ZeroedArray<uint32_t> words_;
 };
 
 } // namespace mxl

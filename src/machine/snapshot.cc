@@ -8,7 +8,8 @@ namespace {
 
 // Fixed-order little-endian encoding. The format is versioned so a
 // journal of serialized snapshots stays readable across changes.
-// 02 appended the memTagLocks vector after the memory words.
+// 02 appended the memTagLocks vector after the memory words, one key
+// byte per word, 0xff where unpainted.
 const char kMagic[8] = {'M', 'X', 'S', 'N', 'A', 'P', '0', '2'};
 
 void
@@ -44,10 +45,13 @@ struct Cursor
     size_t pos = 0;
     bool ok = true;
 
+    /** Bytes left to read (pos never passes the end). */
+    size_t left() const { return s.size() - pos; }
+
     bool
     take(void *dst, size_t n)
     {
-        if (!ok || pos + n > s.size()) {
+        if (!ok || n > left()) {
             ok = false;
             return false;
         }
@@ -81,7 +85,7 @@ struct Cursor
     bytes()
     {
         uint64_t n = u64();
-        if (!ok || pos + n > s.size()) {
+        if (!ok || n > left()) {
             ok = false;
             return {};
         }
@@ -166,8 +170,8 @@ MachineSnapshot::serialize() const
     for (uint32_t w : memory)
         putU32(s, w);
     putU64(s, memTagLocks.size());
-    s.append(reinterpret_cast<const char *>(memTagLocks.data()),
-             memTagLocks.size());
+    for (uint8_t lock : memTagLocks)
+        s += static_cast<char>(lock - 1); // unpainted: 0xff
     return s;
 }
 
@@ -205,19 +209,28 @@ MachineSnapshot::deserialize(const std::string &bytes, MachineSnapshot *out)
     s.stop = static_cast<StopReason>(stop);
     s.faultIndex = c.i32();
 
+    // Counts are checked against the bytes left, never summed with the
+    // position: a hostile count must not wrap past the check. Only
+    // nonzero words and painted locks are written, so the decoded
+    // storage stays lazy.
     uint64_t words = c.u64();
-    if (!c.ok || c.pos + words * 4 > bytes.size())
+    if (!c.ok || words > c.left() / 4)
         return false;
-    s.memory.resize(words);
+    s.memory = ZeroedArray<uint32_t>(words);
     for (uint64_t i = 0; i < words; ++i)
-        s.memory[i] = c.u32();
+        if (uint32_t w = c.u32())
+            s.memory[i] = w;
     uint64_t locks = c.u64();
-    if (!c.ok || c.pos + locks > bytes.size())
+    if (!c.ok || locks > c.left())
         return false;
-    s.memTagLocks.resize(locks);
-    if (locks > 0 && !c.take(s.memTagLocks.data(), locks))
-        return false;
-    if (!c.ok || c.pos != bytes.size())
+    s.memTagLocks = ZeroedArray<uint8_t>(locks);
+    for (uint64_t i = 0; i < locks; ++i) {
+        auto key = static_cast<unsigned char>(bytes[c.pos + i]);
+        if (key != Machine::kMemTagUnpainted)
+            s.memTagLocks[i] = static_cast<uint8_t>(key + 1);
+    }
+    c.pos += locks;
+    if (c.pos != bytes.size())
         return false;
     *out = std::move(s);
     return true;

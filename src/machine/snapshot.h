@@ -27,9 +27,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "machine/machine.h"
+#include "support/zeroed.h"
 
 namespace mxl {
 
@@ -39,10 +39,14 @@ struct MachineSnapshot
     uint32_t regs[32] = {};
     int pc = 0;
     int trapHandler[3] = {-1, -1, -1};
-    std::vector<uint32_t> memory; ///< full image, word-indexed
+    /** Full image, word-indexed; lazily zeroed storage holding only the
+     *  machine's nonzero pages (support/zeroed.h). */
+    ZeroedArray<uint32_t> memory;
 
-    /** memTagging per-word locks; empty when the feature is off. */
-    std::vector<uint8_t> memTagLocks;
+    /** memTagging per-word locks in the machine's encoding (key + 1,
+     *  0 = unpainted); empty when the feature is off. The serialized
+     *  form stores the key itself and 0xff for unpainted. */
+    ZeroedArray<uint8_t> memTagLocks;
 
     // Pipeline state (machine.h's in-flight branch fields).
     int pendingLoadReg = -1;

@@ -1,5 +1,7 @@
 #include "runtime/image.h"
 
+#include <utility>
+
 #include "support/panic.h"
 
 namespace mxl {
@@ -7,7 +9,7 @@ namespace mxl {
 ImageBuilder::ImageBuilder(const RuntimeLayout &layout,
                            const TagScheme &scheme)
     : layout_(layout), scheme_(scheme),
-      staticWords_(layout.staticLimit / 4, 0),
+      mem_(layout.memBytes),
       allocPtr_(layout.staticDataBase)
 {
     // nil and t exist from the start; their value cells name themselves.
@@ -30,17 +32,17 @@ ImageBuilder::allocStatic(uint32_t bytes, uint32_t align)
 void
 ImageBuilder::setWord(uint32_t addr, uint32_t w)
 {
-    MXL_ASSERT(addr % 4 == 0 && addr / 4 < staticWords_.size(),
+    MXL_ASSERT(addr % 4 == 0 && addr < layout_.staticLimit,
                "bad static address ", addr);
-    staticWords_[addr / 4] = w;
+    mem_.word(addr / 4) = w;
 }
 
 uint32_t
 ImageBuilder::getWord(uint32_t addr) const
 {
-    MXL_ASSERT(addr % 4 == 0 && addr / 4 < staticWords_.size(),
+    MXL_ASSERT(addr % 4 == 0 && addr < layout_.staticLimit,
                "bad static address ", addr);
-    return staticWords_[addr / 4];
+    return mem_.word(addr / 4);
 }
 
 uint32_t
@@ -145,11 +147,7 @@ ImageBuilder::finalize()
             static_cast<uint32_t>(rootCells_.size()));
     setWord(layout_.cellAddr(Cell::GcCount), 0);
     setWord(layout_.cellAddr(Cell::HeapUsed), 0);
-
-    Memory mem(layout_.memBytes);
-    for (uint32_t i = 0; i < staticWords_.size(); ++i)
-        mem.word(i) = staticWords_[i];
-    return mem;
+    return std::move(mem_);
 }
 
 } // namespace mxl

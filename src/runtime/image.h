@@ -31,7 +31,9 @@ class ImageBuilder
     /** Allocate @p bytes of static space aligned to @p align. */
     uint32_t allocStatic(uint32_t bytes, uint32_t align);
 
-    /** Write a raw word at byte address @p addr. */
+    /** Write a raw word at byte address @p addr, which must lie in
+     *  the static area [0, layout.staticLimit): nothing a compile
+     *  writes lands above it, so the image's live prefix ends there. */
     void setWord(uint32_t addr, uint32_t w);
     uint32_t getWord(uint32_t addr) const;
 
@@ -50,7 +52,8 @@ class ImageBuilder
     /** Number of interned symbols so far. */
     int numSymbols() const { return static_cast<int>(symbols_.size()); }
 
-    /** Write runtime cells and the root list; then build the Memory. */
+    /** Write runtime cells and the root list; then hand over the
+     *  image (the builder is spent). */
     Memory finalize();
 
     const RuntimeLayout &layout() const { return layout_; }
@@ -59,7 +62,7 @@ class ImageBuilder
   private:
     const RuntimeLayout &layout_;
     const TagScheme &scheme_;
-    std::vector<uint32_t> staticWords_;
+    Memory mem_; ///< the image itself, built in place
     uint32_t allocPtr_;
     std::unordered_map<std::string, uint32_t> symbols_;   // name -> addr
     std::unordered_map<std::string, uint32_t> strings_;   // text -> word

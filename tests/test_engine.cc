@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include "analysis/checkplace.h"
+#include "compiler/unit.h"
 #include "core/engine.h"
 #include "core/experiment.h"
 #include "core/run.h"
 #include "obs/trace.h"
+#include "programs/programs.h"
 #include "support/json.h"
 #include "support/panic.h"
 
@@ -529,4 +531,69 @@ TEST(Engine, ConcurrentPlacedCellsRewriteAndVerifyOnce)
     EXPECT_EQ(translates, 1u);
     EXPECT_GT(eng.metrics().counter("engine.verify_micros").value(), 0u);
     EXPECT_EQ(eng.metrics().counter("engine.backend.fallbacks").value(), 0u);
+}
+
+TEST(Engine, CachedPrefixFollowedByZerosIsTheCompiledImage)
+{
+    // compileUnit writes only the static area, so the engine's trim
+    // scans [0, staticLimit) alone; this pins both halves of that
+    // bound on every program under every scheme.
+    Engine eng(1);
+    for (const BenchmarkProgram &bp : benchmarkPrograms())
+        for (SchemeKind k : {SchemeKind::High5, SchemeKind::High6,
+                             SchemeKind::Low2, SchemeKind::Low3}) {
+            SCOPED_TRACE(bp.name + "/" + schemeKindName(k));
+            CompilerOptions opts = baselineOptions(Checking::Full);
+            opts.scheme = k;
+            opts.heapBytes = bp.heapBytes;
+            const CompiledUnit full = compileUnit(bp.source, opts);
+            const uint32_t words = full.memory.size() / 4;
+            uint32_t above = 0;
+            for (uint32_t i = (full.layout.staticLimit + 3) / 4; i < words;
+                 ++i)
+                above += full.memory.word(i) != 0;
+            EXPECT_EQ(above, 0u) << "nonzero words at or above staticLimit";
+
+            Engine::CompileOutcome c = eng.compile(bp.source, opts);
+            ASSERT_TRUE(c.status.ok()) << c.status.message;
+            const Memory &prefix = c.unit->memory;
+            const uint32_t live = prefix.size() / 4;
+            ASSERT_LE(live, words);
+            uint32_t diffs = 0;
+            for (uint32_t i = 0; i < words; ++i)
+                diffs += (i < live ? prefix.word(i) : 0) != full.memory.word(i);
+            EXPECT_EQ(diffs, 0u);
+        }
+}
+
+TEST(Engine, ImageSetupIsTimedAndSpanned)
+{
+    Engine eng(1);
+    TraceRecorder rec;
+    eng.setTrace(&rec);
+    RunRequest req = request(kLists, Checking::Full);
+    req.label = "imaged";
+    bool mutated = false;
+    req.hooks.imageMutator = [&](Memory &, const CompiledUnit &) {
+        mutated = true;
+    };
+    const Counter &image = eng.metrics().counter("engine.image_micros");
+    const Histogram &cells = eng.metrics().histogram("engine.cell_micros");
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(eng.run(req).ok());
+    eng.setTrace(nullptr);
+
+    EXPECT_TRUE(mutated);
+    EXPECT_GT(image.value(), 0u);
+    EXPECT_LE(image.value(), cells.sum());
+    size_t spans = 0;
+    Json events = rec.toJson();
+    for (size_t i = 0; i < events.size(); ++i) {
+        const Json &e = events.at(i);
+        if (e.find("name")->str() != "image")
+            continue;
+        ++spans;
+        EXPECT_EQ(e.find("args")->find("label")->str(), "imaged");
+    }
+    EXPECT_EQ(spans, 3u);
 }

@@ -3,12 +3,20 @@
  * squashing, the load interlock, traps, and cycle accounting.
  */
 
-#include <gtest/gtest.h>
+#include <algorithm>
+#include <fstream>
+#include <vector>
 
+#include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include "compiler/options.h"
 #include "isa/assembler.h"
 #include "machine/machine.h"
 #include "machine/snapshot.h"
 #include "support/panic.h"
+#include "support/zeroed.h"
 #include "tags/tag_scheme.h"
 
 namespace mxl {
@@ -863,12 +871,105 @@ TEST(Machine, SnapshotRoundTripCarriesMemTagLocks)
     ASSERT_TRUE(MachineSnapshot::deserialize(bytes, &back));
     EXPECT_EQ(back.memTagLocks, snap.memTagLocks);
 
+    // The serialized lock bytes keep MXSNAP02's meaning: the key
+    // itself, 0xff where no key has painted the word.
+    const size_t locksAt = bytes.size() - snap.memTagLocks.size();
+    EXPECT_EQ(static_cast<uint8_t>(bytes[locksAt + 0x200 / 4]),
+              scheme->primaryTag(pairWord));
+    EXPECT_EQ(static_cast<uint8_t>(bytes[locksAt + 0x204 / 4]),
+              Machine::kMemTagUnpainted);
+
     // Restoring into a fresh machine restores the locks: a mismatched
     // access after restore still traps.
     Machine m2(p, Memory(4096), hw, scheme.get());
     m2.restore(back);
     EXPECT_EQ(m2.memTagLock(0x200 / 4), scheme->primaryTag(pairWord));
 }
+
+#ifdef __linux__
+
+/** Resident pages among those overlapping [p, p + bytes) (mincore). */
+size_t
+residentPages(const void *p, size_t bytes)
+{
+    const uintptr_t page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+    const uintptr_t lo = reinterpret_cast<uintptr_t>(p) & ~(page - 1);
+    const uintptr_t hi = reinterpret_cast<uintptr_t>(p) + bytes;
+    std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(lo), hi - lo, vec.data()), 0);
+    return static_cast<size_t>(std::count_if(
+        vec.begin(), vec.end(), [](unsigned char v) { return v & 1; }));
+}
+
+/** This process's resident set in pages (/proc/self/statm). */
+long
+residentSetPages()
+{
+    std::ifstream statm("/proc/self/statm");
+    long size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident;
+}
+
+TEST(Memory, DefaultImageAndLockArrayLeaveUntouchedPagesNonResident)
+{
+    // Three allocate/free rounds: once a large block is freed, glibc
+    // raises its mmap threshold and fills later calloc()s of that size,
+    // so a heap-backed image would be lazy in round 1 only. Huge pages,
+    // where enabled, may back a touched word with 2 MiB: hence the
+    // 1/8 bound, where a fill makes every page resident.
+    const uint32_t bytes = CompilerOptions{}.memBytes;
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    for (int round = 1; round <= 3; ++round) {
+        SCOPED_TRACE(round);
+        Memory mem(bytes);
+        mem.store(0, 1);
+        mem.store(bytes - 4, 2);
+        EXPECT_LE(residentPages(&mem.word(0), mem.size()),
+                  mem.size() / page / 8);
+
+        ZeroedArray<uint8_t> locks(bytes / 4);
+        locks[0] = 1;
+        EXPECT_LE(residentPages(locks.data(), locks.size()),
+                  locks.size() / page / 8);
+    }
+}
+
+TEST(Machine, MemTagMachineOnDefaultImageStaysLazy)
+{
+    // The whole-process view of the same claim: building and running a
+    // memTagging machine on a default-size image (32 MiB of words plus
+    // an 8 MiB lock array) grows the resident set by a few pages.
+    auto scheme = makeScheme(SchemeKind::Low3);
+    HardwareConfig hw;
+    hw.memTagging = true;
+    uint32_t pairWord = scheme->encodePointer(TypeId::Pair, 0x200);
+    Program p = assemble(strcat(R"(
+        main:
+            li r2, )", pairWord, R"(
+            li r3, 1234
+            st r3, 0(r2)
+            sys halt, r0
+    )"));
+    {
+        // Warm-up on a small image: fault the code paths in first.
+        Machine warm(p, Memory(4096), hw, scheme.get());
+        warm.run(p.symbol("main"));
+    }
+    const uint32_t bytes = CompilerOptions{}.memBytes;
+    const long lockPages =
+        static_cast<long>(bytes / 4 / sysconf(_SC_PAGESIZE));
+    for (int round = 1; round <= 3; ++round) {
+        SCOPED_TRACE(round);
+        const long before = residentSetPages();
+        Machine m(p, Memory(bytes), hw, scheme.get());
+        ASSERT_EQ(m.run(p.symbol("main")), StopReason::Halted);
+        EXPECT_EQ(m.memTagLock(0x200 / 4), scheme->primaryTag(pairWord));
+        EXPECT_LT(residentSetPages() - before, lockPages / 8);
+    }
+}
+
+#endif // __linux__
 
 } // namespace
 } // namespace mxl

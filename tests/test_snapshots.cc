@@ -225,6 +225,31 @@ TEST(Snapshot, SerializationIsDeterministicAndValidated)
     EXPECT_FALSE(MachineSnapshot::deserialize(wrongMagic, &out));
     std::string trailing = a + "x";
     EXPECT_FALSE(MachineSnapshot::deserialize(trailing, &out));
+
+    // Hostile counts are checked against the bytes left, so one whose
+    // sum with the read position wraps is rejected, not allocated.
+    auto le64 = [](uint64_t v) {
+        std::string s;
+        for (int i = 0; i < 8; ++i)
+            s += static_cast<char>((v >> (8 * i)) & 0xff);
+        return s;
+    };
+    ASSERT_TRUE(snap.memTagLocks.empty());
+    const size_t lockCountAt = a.size() - 8;
+    const size_t wordCountAt = lockCountAt - 4 * snap.memory.size() - 8;
+    std::string hugeMemory = a;
+    hugeMemory.replace(wordCountAt, 8, le64((uint64_t{1} << 62) + 4));
+    EXPECT_FALSE(MachineSnapshot::deserialize(hugeMemory, &out));
+    std::string wrappedLocks = a; // position + count == 1 (mod 2^64)
+    wrappedLocks.replace(lockCountAt, 8, le64(uint64_t{1} - a.size()));
+    EXPECT_FALSE(MachineSnapshot::deserialize(wrappedLocks, &out));
+    MachineSnapshot named = snap;
+    named.output = "QQQQ";
+    std::string rewound = named.serialize(); // output length wraps to 0
+    const size_t outputAt = rewound.find("QQQQ");
+    ASSERT_NE(outputAt, std::string::npos);
+    rewound.replace(outputAt - 8, 8, le64(uint64_t{0} - outputAt));
+    EXPECT_FALSE(MachineSnapshot::deserialize(rewound, &out));
 }
 
 TEST(Snapshot, RestoreRejectsMismatchedImageSize)
@@ -234,7 +259,7 @@ TEST(Snapshot, RestoreRejectsMismatchedImageSize)
     Machine m(unit.prog, unit.memory, unit.opts.hw, unit.scheme.get());
     ASSERT_EQ(m.run(unit.entry, 20), StopReason::CycleLimit);
     MachineSnapshot snap = m.snapshot();
-    snap.memory.resize(snap.memory.size() / 2);
+    snap.memory = ZeroedArray<uint32_t>(snap.memory.size() / 2, snap.memory);
     Machine other(unit.prog, unit.memory, unit.opts.hw,
                   unit.scheme.get());
     EXPECT_THROW(other.restore(snap), MxlError);
