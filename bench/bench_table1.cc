@@ -35,13 +35,10 @@ double
 gridComputeSeconds(Engine &eng, std::vector<RunRequest> grid,
                    bool profiled)
 {
-    for (RunRequest &req : grid) {
+    // Both sides run on the default backend, so the difference is the
+    // profiler's own cost.
+    for (RunRequest &req : grid)
         req.hooks.collectProfile = profiled;
-        // Profiled cells fall back to the interpreter (the translated
-        // backend has no per-PC seam), so pin the interpreter on both
-        // sides — this measures the profiler, not the backend.
-        req.exec.backend = Backend::Interpreter;
-    }
     double sum = 0;
     for (const RunReport &rep : eng.runGrid(grid))
         sum += rep.wallSeconds;

@@ -344,6 +344,7 @@ Engine::execute(const RunRequest &req)
                 controls.maxCycles = req.exec.maxCycles;
                 controls.deadlineSeconds = req.exec.deadlineSeconds;
                 controls.installTrapHandlers = req.exec.installTrapHandlers;
+                controls.collectProfile = req.hooks.collectProfile;
                 rep.result = runTranslated(*unit, *trans.unit,
                                            std::move(image), controls);
             } else {

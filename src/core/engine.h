@@ -134,10 +134,10 @@ struct ExecPolicy
 /**
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
- * only in hooks share a compilation. machineSetup, the snapshot pause
- * and collectProfile need the interpreter's seams, so setting one makes
- * an `Auto` request fall back (see needsInterpreter()); imageMutator
- * and unitTransform work on either backend.
+ * only in hooks share a compilation. machineSetup and the snapshot
+ * pause need the interpreter's seams, so setting one makes an `Auto`
+ * request fall back (see needsInterpreter()); imageMutator,
+ * unitTransform and collectProfile work on either backend.
  */
 struct Hooks
 {
@@ -173,8 +173,8 @@ struct Hooks
     /**
      * Collect the per-PC instruction profile for this cell
      * (RunControls::collectProfile); the histogram comes back in
-     * RunReport::result.profile. Interpreter-only: the translated
-     * executor keeps per-index counts in a different shape.
+     * RunReport::result.profile. Supported by both backends: the
+     * translated executor fills it from its run-end fold.
      */
     bool collectProfile = false;
 
@@ -216,7 +216,7 @@ struct Hooks
     /** True when any hook set here requires the interpreter's seams. */
     bool needsInterpreter() const
     {
-        return static_cast<bool>(machineSetup) || collectProfile ||
+        return static_cast<bool>(machineSetup) ||
                (pauseAtCycle > 0 && static_cast<bool>(snapshotHook));
     }
 };

@@ -4,27 +4,28 @@
  * into directly-threaded code (one pre-decoded op per instruction, each
  * holding the host address of its handler) and then executed by a
  * computed-goto dispatch loop, with each control transfer *fused* with
- * its two delay slots into a single dispatch — the per-block epilogue
- * that folds delay-slot/squash semantics and the load interlock into
- * the basic-block boundary instead of a per-instruction pipeline model.
+ * its two delay slots into a single dispatch.
  *
  * The contract is byte-identical equivalence with machine/machine.cc:
  * CycleStats, program output, stop reason, error code, exit value,
- * fault index, and the GC cells all match the interpreter exactly, for
- * every program the translator accepts (tests/test_backend.cc proves
- * this differentially over the whole benchmark suite). Accounting is
- * kept per instruction index (execution / stall / squash counters) and
- * folded into a CycleStats at run end, so the hot loop carries three
- * array increments instead of the interpreter's full attribution work.
+ * fault index, the GC cells and the per-PC profile all match the
+ * interpreter exactly, for every program the translator accepts
+ * (tests/test_backend.cc proves this differentially over the whole
+ * benchmark suite and at every cycle-limit stop of short programs).
+ * Accounting is kept per basic block: entering a block adds its static
+ * cycle cost and bumps one counter, and the run-end fold turns the
+ * block counts back into the interpreter's per-instruction CycleStats.
+ * Blocks that could cross the cycle budget, and entries into the middle
+ * of a block, run on per-instruction counted handlers instead.
  *
  * What the backend does NOT support — and why refusal is safe:
  * translateUnit() declines units it cannot prove equivalent (malformed
  * delay-slot structure per analysis::buildCfg, tag-hardware opcodes
  * without the matching HardwareConfig bit, trap-capable ops scheduled
  * into delay slots), and runTranslated() has no machineSetup /
- * snapshot / pause / per-PC-profile seams. The Engine treats both as
- * tier-fallback conditions: with ExecPolicy::backend == Auto the run
- * transparently drops to the interpreter (core/engine.h).
+ * snapshot / pause seams. The Engine treats both as tier-fallback
+ * conditions: with ExecPolicy::backend == Auto the run transparently
+ * drops to the interpreter (core/engine.h).
  */
 
 #ifndef MXLISP_EXEC_TEXEC_H_
@@ -42,13 +43,15 @@ namespace mxl {
 
 /**
  * Pre-decoded instruction: operands flattened, handler resolved.
- * Packed to exactly 32 bytes (two per cache line, never split across
- * one) — the executor's working set is this array.
+ * Exactly 32 bytes and 32-byte aligned, so two share a cache line and
+ * none straddles one — the executor's working set is this array.
  */
-struct TranslatedOp
+struct alignas(32) TranslatedOp
 {
-    const void *handler = nullptr; ///< host dispatch address
-    uint32_t idx = 0;              ///< own instruction index (accounting)
+    /** Host dispatch address: the op's semantics-only block handler,
+     *  or on a block leader the block-entry handler. */
+    const void *handler = nullptr;
+    uint32_t blk = 0;              ///< index of the block holding the op
     uint32_t readMask = 0;         ///< bit r set when the op reads reg r
     uint32_t uimm = 0;             ///< uint32(imm); Beqi/Bnei compare i32
     int32_t target = -1;           ///< static control-transfer target
@@ -62,6 +65,33 @@ struct TranslatedOp
     uint8_t timm = 0;              ///< tag immediate (Ldt/Stt/Btag/Bntag)
 };
 static_assert(sizeof(TranslatedOp) == 32);
+static_assert(alignof(TranslatedOp) == 32);
+
+/**
+ * A basic block: the ops from a leader up to the next leader. Leaders
+ * are the entry, the trap handlers, every static branch target, the
+ * return point after every trap-capable op, and the op after every
+ * control group, so a block holds at most one control group, as its
+ * last three ops, and every op in it runs once per entry unless the
+ * group squashes its slots or the run stops inside the block.
+ */
+struct TranslatedBlock
+{
+    const void *body = nullptr; ///< block handler of the leader op
+    /** Cycles of one run through the block with the group's slots
+     *  executed: op cycles plus the load-interlock stalls between its
+     *  ops, which straight-line code fixes; the leader's own stall
+     *  depends on the predecessor and is charged at entry. */
+    uint32_t cost = 0;
+    /** Cycle change when the group squashes its slots: two squashed
+     *  cycles replace two slots of 1-12 cycles each and a stall, so it
+     *  lies in [-23, 0]. */
+    int8_t squashDelta = 0;
+    uint8_t exitPend = 32;      ///< interlock register after the last
+                                ///< op (slots executed); 32 = none
+};
+static_assert(sizeof(TranslatedBlock) == 16);
+
 
 /**
  * A unit translated for the threaded executor. Immutable after
@@ -74,6 +104,8 @@ struct TranslatedUnit
     /** One op per instruction plus a pc-out-of-range sentinel. */
     std::vector<TranslatedOp> ops;
     size_t nInsts = 0; ///< ops.size() - 1
+    /** The blocks in index order; the last is the sentinel's. */
+    std::vector<TranslatedBlock> blocks;
 
     int entry = -1;
 
@@ -122,6 +154,8 @@ struct TranslatedControls
     double deadlineSeconds = 0;
     /** Honor the unit's software trap handlers (RunControls). */
     bool installTrapHandlers = true;
+    /** Fill RunResult::profile (RunControls::collectProfile). */
+    bool collectProfile = false;
 };
 
 /**

@@ -8,6 +8,9 @@
  * scheme into constant masks, and resolves every op to its executor
  * handler address.
  *
+ * The block pass partitions the unit at its leaders and costs each
+ * block statically (docs/BACKEND.md, "Block accounting").
+ *
  * Refusal, never failure: any unit the translator cannot prove
  * equivalent to the interpreter comes back with a diagnostic note and
  * no TranslatedUnit. In the engine's Auto tier a refusal just means the
@@ -16,6 +19,7 @@
  * interpreter's diagnostics are preserved verbatim.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 
@@ -231,7 +235,6 @@ translateUnit(const CompiledUnit &unit)
 
         op.kind = static_cast<uint8_t>(kind);
         op.handler = labels[kind];
-        op.idx = static_cast<uint32_t>(i);
         op.uimm = static_cast<uint32_t>(inst.imm);
         op.timm = static_cast<uint8_t>(inst.timm);
         op.target = inst.target;
@@ -250,81 +253,78 @@ translateUnit(const CompiledUnit &unit)
             op.readMask |= 1u << rr[k];
     }
 
-    // Fusion pass: adjacent straight-line ops whose (kind, kind) pair
-    // has a fused handler dispatch as one. Only the first op's handler
-    // changes — its TKind and the second op stay untouched, so any
-    // entry at the second index (delay-slot dispatch cannot occur here,
-    // but computed jumps and trap returns can land anywhere) still runs
-    // the standalone semantics. Pairs never span a control group, and
-    // greedy pairing restarts at every static join point so the fused
-    // path stays aligned with actual control flow.
-    {
-        std::vector<char> grp(static_cast<size_t>(n), 0);
-        std::vector<char> leader(static_cast<size_t>(n), 0);
-        for (int i = 0; i < n; ++i) {
-            if (!isControl(code[i].op))
-                continue;
-            for (int k = i; k < std::min(i + 3, n); ++k)
-                grp[k] = 1;
-        }
-        leader[unit.entry] = 1;
-        if (tu->arithTrap >= 0)
-            leader[tu->arithTrap] = 1;
-        if (tu->tagTrap >= 0)
-            leader[tu->tagTrap] = 1;
-        for (int i = 0; i < n; ++i) {
-            const Instruction &inst = code[i];
-            if (isControl(inst.op) && inst.op != Opcode::Jr &&
-                inst.op != Opcode::Jalr)
+    // Leaders: the entry, the trap handlers, every static target, the
+    // re-entry point of every trap-capable op (a trap returns to i + 1)
+    // and the op after every control group. Index 0 starts the first
+    // block; the sentinel at n is a leader of its own.
+    std::vector<char> grp(static_cast<size_t>(n), 0);
+    std::vector<char> leader(static_cast<size_t>(n) + 1, 0);
+    leader[0] = leader[n] = 1;
+    leader[unit.entry] = 1;
+    if (tu->arithTrap >= 0)
+        leader[tu->arithTrap] = 1;
+    if (tu->tagTrap >= 0)
+        leader[tu->tagTrap] = 1;
+    for (int i = 0; i < n; ++i) {
+        const Instruction &inst = code[i];
+        if (isControl(inst.op)) {
+            grp[i] = grp[i + 1] = grp[i + 2] = 1;
+            leader[i + 3] = 1;
+            if (inst.op != Opcode::Jr && inst.op != Opcode::Jalr)
                 leader[inst.target] = 1;
-            // Trap returns re-enter at the faulting index + 1.
-            if ((inst.op == Opcode::Ldt || inst.op == Opcode::Stt ||
-                 inst.op == Opcode::Addt || inst.op == Opcode::Subt) &&
-                i + 1 < n)
-                leader[i + 1] = 1;
+        } else if (inst.op == Opcode::Ldt || inst.op == Opcode::Stt ||
+                   inst.op == Opcode::Addt || inst.op == Opcode::Subt) {
+            leader[i + 1] = 1;
         }
-        auto fusedKind = [](uint8_t a, uint8_t b) -> int {
-            switch (a) {
-              case TAddi:
-                return b == TSt ? TF_Addi_St
-                       : b == TLd ? TF_Addi_Ld : -1;
-              case TSt:
-                return b == TLd   ? TF_St_Ld
-                       : b == TSt ? TF_St_St
-                       : b == TLi ? TF_St_Li : -1;
-              case TAnd:
-                return b == TLd ? TF_And_Ld : -1;
-              case TLd:
-                switch (b) {
-                  case TSrli: return TF_Ld_Srli;
-                  case TAddi: return TF_Ld_Addi;
-                  case TAnd:  return TF_Ld_And;
-                  case TLd:   return TF_Ld_Ld;
-                  case TLi:   return TF_Ld_Li;
-                  case TSlli: return TF_Ld_Slli;
-                  default:    return -1;
-                }
-              case TMov:
-                return b == TLd ? TF_Mov_Ld : -1;
-              case TSlli:
-                return b == TSrai ? TF_Slli_Srai : -1;
-              default:
-                return -1;
+    }
+    // A leader inside a delay slot would split its group.
+    for (int i = 0; i < n; ++i)
+        if (leader[i] && grp[i] && !isControl(code[i].op))
+            return refuse(strcat("block leader inside a delay slot at pc ",
+                                 i));
+
+    // Fusion pass: adjacent straight-line ops of one block whose
+    // (kind, kind) pair has a fused handler dispatch as one in block
+    // mode. Only the first op's handler changes — its TKind and the
+    // second op stay untouched, so the counted path still runs the
+    // standalone semantics. Pairs never span a control group or a
+    // leader.
+    auto fusedKind = [](uint8_t a, uint8_t b) -> int {
+        switch (a) {
+          case TAddi:
+            return b == TSt ? TF_Addi_St
+                   : b == TLd ? TF_Addi_Ld : -1;
+          case TSt:
+            return b == TLd   ? TF_St_Ld
+                   : b == TSt ? TF_St_St
+                   : b == TLi ? TF_St_Li : -1;
+          case TAnd:
+            return b == TLd ? TF_And_Ld : -1;
+          case TLd:
+            switch (b) {
+              case TSrli: return TF_Ld_Srli;
+              case TAddi: return TF_Ld_Addi;
+              case TAnd:  return TF_Ld_And;
+              case TLd:   return TF_Ld_Ld;
+              case TLi:   return TF_Ld_Li;
+              case TSlli: return TF_Ld_Slli;
+              default:    return -1;
             }
-        };
-        for (int i = 0; i + 1 < n;) {
-            if (grp[i] || grp[i + 1] || leader[i + 1]) {
-                ++i;
-                continue;
-            }
-            const int fk = fusedKind(tu->ops[i].kind, tu->ops[i + 1].kind);
-            if (fk >= 0) {
-                tu->ops[i].handler = labels[fk];
-                i += 2;
-            } else {
-                ++i;
-            }
+          case TMov:
+            return b == TLd ? TF_Mov_Ld : -1;
+          case TSlli:
+            return b == TSrai ? TF_Slli_Srai : -1;
+          default:
+            return -1;
         }
+    };
+    for (int i = 0; i + 1 < n;) {
+        const int fk = grp[i] || grp[i + 1] || leader[i + 1]
+                           ? -1
+                           : fusedKind(tu->ops[i].kind, tu->ops[i + 1].kind);
+        if (fk >= 0)
+            tu->ops[i].handler = labels[fk];
+        i += fk >= 0 ? 2 : 1;
     }
 
     // Sentinel: falling off the end dispatches to the pc-out-of-range
@@ -332,7 +332,37 @@ translateUnit(const CompiledUnit &unit)
     TranslatedOp &end = tu->ops[n];
     end.kind = TEnd;
     end.handler = labels[TEnd];
-    end.idx = static_cast<uint32_t>(n);
+
+    // Block pass: cost each block and move its leader's handler into
+    // the block, leaving the block-entry handler on the leader.
+    tu->blocks.reserve(
+        static_cast<size_t>(std::count(leader.begin(), leader.end(), 1)));
+    for (int s = 0; s <= n;) {
+        int e = s + 1;
+        while (e <= n && !leader[e])
+            ++e;
+        TranslatedBlock b;
+        b.body = tu->ops[s].handler;
+        for (int i = s; i < e && i < n; ++i) {
+            tu->ops[i].blk = static_cast<uint32_t>(tu->blocks.size());
+            b.cost += tu->ops[i].cycles + (i > s ? staticStall(&tu->ops[0], i)
+                                                 : 0);
+        }
+        if (e - 1 < n) {
+            const TranslatedOp &last = tu->ops[e - 1];
+            if (last.kind == TLd || last.kind == TLdt)
+                b.exitPend = last.pendReg;
+        }
+        if (e - s >= 3 && e <= n && isXferKind(tu->ops[e - 3].kind))
+            b.squashDelta = static_cast<int8_t>(
+                2 - static_cast<int>(tu->ops[e - 2].cycles +
+                                     tu->ops[e - 1].cycles +
+                                     staticStall(&tu->ops[0], e - 1)));
+        tu->ops[s].blk = static_cast<uint32_t>(tu->blocks.size());
+        tu->ops[s].handler = labels[TEnter];
+        tu->blocks.push_back(b);
+        s = e;
+    }
 
     return {std::move(tu), ""};
 }

@@ -8,11 +8,13 @@
  * which the Engine runs translated. On top of the
  * differential matrix this suite pins the trap paths (the software
  * Addt/Subt overflow fallback, handled and unhandled), cycle-limit
- * stops, the Engine's two-tier Auto policy (backend stamping, the
- * fallback counter, pause/resume equivalence across the tier drop),
- * and the translator's refusal diagnostics.
+ * stops at every cycle of short runs, computed jumps into the middle of
+ * a block, the per-PC profile, the Engine's two-tier Auto policy
+ * (backend stamping, the fallback counter, pause/resume equivalence
+ * across the tier drop), and the translator's refusal diagnostics.
  */
 
+#include <cstdint>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -24,9 +26,12 @@
 #include "core/experiment.h"
 #include "core/run.h"
 #include "exec/texec.h"
+#include "isa/assembler.h"
 #include "machine/snapshot.h"
+#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "programs/programs.h"
+#include "support/format.h"
 #include "support/json.h"
 #include "support/panic.h"
 
@@ -94,6 +99,9 @@ differential(const CompiledUnit &unit, uint64_t maxCycles,
     if (!tr.unit)
         return ::testing::AssertionFailure()
                << "translation refused: " << tr.note;
+    // The ops array is 32-byte aligned, so no op straddles a line.
+    if (reinterpret_cast<uintptr_t>(tr.unit->ops.data()) % 32 != 0)
+        return ::testing::AssertionFailure() << "ops array misaligned";
     RunControls rc;
     rc.maxCycles = maxCycles;
     RunResult a = runUnitOn(unit, unit.memory, rc);
@@ -104,6 +112,79 @@ differential(const CompiledUnit &unit, uint64_t maxCycles,
     if (reference)
         *reference = std::move(a);
     return same;
+}
+
+/** The interpreter's RunResult for machine @p m, stopped with @p stop,
+ *  assembled the way runUnitOn() assembles it. */
+RunResult
+resultOf(const Machine &m, const CompiledUnit &unit, StopReason stop)
+{
+    RunResult r;
+    r.stats = m.stats();
+    r.output = m.output();
+    r.stop = stop;
+    r.errorCode = m.errorCode();
+    r.exitValue = m.exitValue();
+    r.faultIndex = m.faultIndex();
+    r.gcCount = m.memory().load(unit.layout.cellAddr(Cell::GcCount));
+    r.heapUsed = m.memory().load(unit.layout.cellAddr(Cell::HeapUsed));
+    return r;
+}
+
+/**
+ * Interpreter-vs-translated at every cycle limit in [@p from, @p to].
+ * The interpreter side is one machine resumed a cycle at a time: a
+ * pause is cycle-invisible (Machine::resume), so its stop at limit L is
+ * a fresh run's stop at L — which the fresh differential runs at both
+ * ends re-check. The translated side is a fresh run per limit.
+ */
+::testing::AssertionResult
+sameAtEveryLimit(const CompiledUnit &unit, uint64_t from, uint64_t to)
+{
+    auto tr = translateUnit(unit);
+    if (!tr.unit)
+        return ::testing::AssertionFailure()
+               << "translation refused: " << tr.note;
+    // Each translated run starts from a fresh image holding the live
+    // prefix, the way the engine expands its cached units: copying the
+    // full image would scan all of it per limit.
+    uint32_t live = unit.layout.staticLimit / 4;
+    while (live > 0 && unit.memory.word(live - 1) == 0)
+        --live;
+    const Memory prefix(live * 4, unit.memory);
+    Machine m(unit.prog, unit.memory, unit.opts.hw, unit.scheme.get());
+    if (unit.opts.hw.genericArith && unit.arithTrap >= 0)
+        m.setTrapHandler(TrapKind::ArithFail, unit.arithTrap);
+    if (unit.opts.hw.checkedMemory != CheckedMem::None &&
+        unit.tagTrap >= 0)
+        m.setTrapHandler(TrapKind::TagMismatch, unit.tagTrap);
+    StopReason stop = m.run(unit.entry, from);
+    for (uint64_t limit = from; limit <= to; ++limit) {
+        if (limit > from && stop == StopReason::CycleLimit)
+            stop = m.resume(limit);
+        TranslatedControls tc;
+        tc.maxCycles = limit;
+        ::testing::AssertionResult same = sameResult(
+            resultOf(m, unit, stop),
+            runTranslated(unit, *tr.unit,
+                          Memory(unit.layout.memBytes, prefix), tc));
+        if (!same)
+            return same << " at limit " << limit;
+    }
+    for (uint64_t limit : {from, to})
+        if (::testing::AssertionResult same = differential(unit, limit);
+            !same)
+            return same << " (fresh run) at limit " << limit;
+    return ::testing::AssertionSuccess();
+}
+
+/** Total cycles of @p unit run to completion on the interpreter. */
+uint64_t
+totalCycles(const CompiledUnit &unit)
+{
+    RunResult r = runUnitOn(unit, unit.memory, kDefaultMaxCycles);
+    EXPECT_EQ(r.stop, StopReason::Halted);
+    return r.stats.total;
 }
 
 } // namespace
@@ -247,13 +328,216 @@ TEST(Backend, UnhandledTrapEncodingMatches)
 
 TEST(Backend, CycleLimitStopsAreIdentical)
 {
-    // A mid-run cycle guard must fire on the same cycle in both
-    // backends, even when it lands inside a fused pair or a control
-    // group's delay slots.
-    CompiledUnit unit =
-        compileUnit(kLoop, baselineOptions(Checking::Full));
-    for (uint64_t limit : {100ull, 1001ull, 5002ull, 20003ull})
-        EXPECT_TRUE(differential(unit, limit)) << "limit " << limit;
+    // A cycle guard must fire on the same cycle in both backends. Block
+    // mode charges a whole block at its entry, so the executor must
+    // fall back to per-step accounting wherever the budget could run
+    // out inside a block — a fused pair, a control group's delay slots
+    // or squash cycles. Stop everywhere: at every limit of short runs
+    // (straight-line code, delay slots, squashes, trap, handler and
+    // return), at 2,000 consecutive limits deep into one benchmark
+    // program per tag-scheme family, and at the deadline's chunk ends.
+    for (Checking checking : {Checking::Off, Checking::Full}) {
+        CompiledUnit unit = compileUnit(kLoop, baselineOptions(checking));
+        EXPECT_TRUE(sameAtEveryLimit(unit, 0, totalCycles(unit) + 2))
+            << "kLoop checking " << int(checking);
+    }
+
+    CompilerOptions arith;
+    arith.scheme = SchemeKind::High5;
+    arith.checking = Checking::Full;
+    arith.hw.genericArith = true;
+    CompiledUnit overflow = compileUnit(
+        "(print (+ (- -40000000 40000000) (+ 40000000 40000000)))", arith);
+    EXPECT_TRUE(sameAtEveryLimit(overflow, 0, totalCycles(overflow) + 2))
+        << "Addt/Subt overflow";
+
+    const auto &bp = benchmarkPrograms()[3]; // rat: arithmetic-heavy
+    CompilerOptions high = table2Configs().back().opts; // all hardware
+    high.checking = Checking::Full;
+    CompilerOptions low = lowTagSoftwareOptions(Checking::Full,
+                                                SchemeKind::Low2);
+    low.hw.genericArith = true;
+    for (CompilerOptions opts : {high, low}) {
+        opts.heapBytes = bp.heapBytes;
+        CompiledUnit unit = compileUnit(bp.source, opts);
+        EXPECT_TRUE(sameAtEveryLimit(unit, 400'003, 402'002))
+            << bp.name << " scheme " << int(opts.scheme);
+    }
+
+    // With a deadline the budget advances in 1M-cycle chunks; a run of
+    // over 3M cycles crosses several chunk ends.
+    const auto &trav = benchmarkPrograms()[9];
+    CompilerOptions opts = baselineOptions(Checking::Full);
+    opts.heapBytes = trav.heapBytes;
+    CompiledUnit unit = compileUnit(trav.source, opts);
+    auto tr = translateUnit(unit);
+    ASSERT_TRUE(tr.unit) << tr.note;
+    RunControls rc;
+    rc.deadlineSeconds = 60;
+    RunResult a = runUnitOn(unit, unit.memory, rc);
+    TranslatedControls tc;
+    tc.deadlineSeconds = 60;
+    RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+    EXPECT_GE(a.stats.total, 3'000'000u);
+    EXPECT_EQ(a.stop, StopReason::Halted);
+    EXPECT_FALSE(b.timedOut);
+    EXPECT_TRUE(sameResult(a, b)) << "deadline chunks";
+}
+
+/** @p unit with its program replaced by the assembled @p text, entered
+ *  at index 0, with the given trap handlers. */
+void
+replaceProgram(CompiledUnit &unit, const std::string &text,
+               const char *arithHandler = nullptr,
+               const char *tagHandler = nullptr)
+{
+    unit.prog = assemble(text);
+    unit.entry = 0;
+    unit.arithTrap = arithHandler ? unit.prog.symbol(arithHandler) : -1;
+    unit.tagTrap = tagHandler ? unit.prog.symbol(tagHandler) : -1;
+}
+
+TEST(Backend, MidBlockEntriesMatch)
+{
+    // No compiled program jumps into the middle of a block, so a
+    // hand-assembled one does: two computed calls land on `land`,
+    // which follows a load inside the block `body` starts, once right
+    // after a delay-slot load of the register it reads (an interlock
+    // stall at the landing op) and once with none; a direct call runs
+    // the same ops from the block's leader, which stalls on a slot's
+    // load too; an Addt traps to a handler that returns to the op
+    // after it; an Ldt traps with its load undone, so the handler that
+    // reads its register does not stall; and the halt stops the run
+    // before the two ops after it in its block.
+    CompilerOptions opts = baselineOptions(Checking::Off);
+    opts.hw.genericArith = true;
+    opts.hw.checkedMemory = CheckedMem::All;
+    CompiledUnit unit = compileUnit(kLoop, opts);
+    const uint32_t data = unit.layout.cellAddr(Cell::GcCount);
+    replaceProgram(unit, strcat(R"(
+        li   r12, )", data, R"(
+        li   r16, 100
+        st   r16, 0(r12)
+        li   r16, 200
+        st   r16, 4(r12)
+        li   r11, 112           ; byte address of land (index 28)
+        li   r18, 1073741825    ; tag 8, and not a fixnum in any scheme
+        jalr r31, r11
+        li   r13, 5
+        ld   r14, 0(r12)        ; land reads r14 next: one stall
+        sys  putfixraw, r15
+        jalr r31, r11
+        li   r13, 9
+        noop
+        sys  putfixraw, r15
+        jal  r31, body
+        noop
+        ld   r14, 0(r12)        ; body reads r14 next: one stall
+        sys  putfixraw, r15
+        addt r17, r18, r18      ; traps; the handler returns here + 1
+        sys  putfixraw, r17
+        ldt  r19, 0(r18), 3     ; traps; the handler returns here + 1
+        sys  putfixraw, r19
+        sys  halt, r0
+        addi r15, r15, 1        ; the halted block's tail
+        noop
+    body:
+        add  r14, r14, r13
+        ld   r14, 4(r12)
+    land:
+        add  r15, r14, r13
+        addi r15, r15, 1
+        jr   r31
+        noop
+        noop
+    arith:
+        li   r17, 42
+        jr   r20
+        noop
+        noop
+    tag:
+        add  r19, r19, r17
+        jr   r20
+        noop
+        noop
+    )"),
+                   "arith", "tag");
+    ASSERT_EQ(unit.prog.symbol("land"), 28);
+
+    RunResult reference;
+    ASSERT_TRUE(differential(unit, kDefaultMaxCycles, &reference));
+    EXPECT_EQ(reference.stop, StopReason::Halted);
+    EXPECT_EQ(reference.output, "1061102104242");
+    EXPECT_EQ(reference.stats.loadStalls, 3u);
+    EXPECT_TRUE(sameAtEveryLimit(unit, 0, reference.stats.total + 2));
+}
+
+TEST(Backend, StopsInsideABlockMatch)
+{
+    // A block is charged whole at its entry, so a stop inside it must
+    // take back the ops after the stopping one: here an illegal access
+    // in a delay slot, a divide by zero and an error call, each with
+    // ops left in its block.
+    const char *const programs[] = {
+        R"(
+        li   r12, 2147483632    ; past the end of the image
+        j    done
+        ld   r14, 0(r12)        ; slot 1 stops the run
+        addi r15, r15, 1
+    done:
+        sys  halt, r0
+        )",
+        R"(
+        li   r13, 0
+        div  r15, r14, r13
+        addi r15, r15, 1
+        sys  halt, r0
+        )",
+        R"(
+        li   r16, 7
+        sys  error, r16
+        addi r15, r15, 1
+        sys  halt, r0
+        )",
+    };
+    for (const char *text : programs) {
+        CompiledUnit unit =
+            compileUnit(kLoop, baselineOptions(Checking::Off));
+        replaceProgram(unit, text);
+        RunResult reference;
+        ASSERT_TRUE(differential(unit, kDefaultMaxCycles, &reference))
+            << text;
+        EXPECT_NE(reference.stop, StopReason::Halted) << text;
+        EXPECT_TRUE(sameAtEveryLimit(unit, 0, reference.stats.total + 2))
+            << text;
+    }
+}
+
+TEST(Backend, ProfilesMatchTheInterpreter)
+{
+    // The translated backend fills the per-PC profile from its run-end
+    // fold: element for element the interpreter's histogram.
+    Engine eng(1);
+    for (const auto &bp : benchmarkPrograms()) {
+        RunRequest req;
+        req.source = bp.source;
+        req.opts = baselineOptions(Checking::Full);
+        req.opts.heapBytes = bp.heapBytes;
+        req.exec.maxCycles = bp.maxCycles;
+        req.hooks.collectProfile = true;
+        req.exec.backend = Backend::Interpreter;
+        RunReport i = eng.run(req);
+        req.exec.backend = Backend::Translated;
+        RunReport t = eng.run(req);
+        ASSERT_TRUE(i.ok() && t.ok()) << bp.name;
+        ASSERT_TRUE(i.result.profile && t.result.profile) << bp.name;
+        EXPECT_EQ(t.backend, Backend::Translated);
+        EXPECT_TRUE(sameResult(i.result, t.result)) << bp.name;
+        EXPECT_EQ(t.result.profile->execCount, i.result.profile->execCount)
+            << bp.name;
+        EXPECT_EQ(t.result.profile->cycles, i.result.profile->cycles)
+            << bp.name;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -289,7 +573,9 @@ TEST(Backend, AutoFallbackStampsAndCounts)
     uint64_t before = fallbacks.value();
 
     RunRequest req = request(kLoop, Checking::Full);
-    req.hooks.collectProfile = true; // interpreter-only seam
+    req.hooks.machineSetup = [](Machine &, const CompiledUnit &) {
+    }; // interpreter-only seam
+    req.hooks.collectProfile = true;
     RunReport rep = eng.run(req);
     ASSERT_TRUE(rep.ok()) << rep.status.message;
     EXPECT_EQ(rep.backend, Backend::Interpreter);
@@ -305,6 +591,7 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
     Engine eng(1);
     RunRequest req = request(kLoop, Checking::Off);
     req.exec.backend = Backend::Translated;
+    req.hooks.machineSetup = [](Machine &, const CompiledUnit &) {};
     req.hooks.collectProfile = true;
     RunReport rep = eng.run(req);
     EXPECT_FALSE(rep.ok());
@@ -424,6 +711,7 @@ TEST(Backend, GridMixesBackendsDeterministically)
     Engine eng(2);
     std::vector<RunRequest> reqs(3, request(kLoop, Checking::Full));
     reqs[1].exec.backend = Backend::Interpreter;
+    reqs[2].hooks.machineSetup = [](Machine &, const CompiledUnit &) {};
     reqs[2].hooks.collectProfile = true;
     auto reps = eng.runGrid(reqs);
     ASSERT_EQ(reps.size(), 3u);
