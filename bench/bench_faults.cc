@@ -7,8 +7,8 @@
  * fault classes — static tag-field corruption, single-bit flips in the
  * pristine image, ill-typed call arguments, and the heap- and
  * stack-resident variants (tag corruption / bit flip applied to the
- * *live* heap or control stack of a run paused mid-execution via
- * MachineSnapshot) — into the full ten-program benchmark suite, and
+ * *live* heap or control stack of a run paused mid-execution by the
+ * engine's pause hook) — into the full ten-program benchmark suite, and
  * runs every (config × class × trial) cell through mxl::Engine under a
  * Table-2-style hardware ladder:
  *

@@ -355,18 +355,15 @@ Engine::execute(const RunRequest &req)
                     req.exec.installTrapHandlers;
                 controls.machineSetup = req.hooks.machineSetup;
                 controls.pauseAtCycle = req.hooks.pauseAtCycle;
-                controls.snapshotHook = req.hooks.snapshotHook;
+                controls.pauseHook = req.hooks.pauseHook;
                 controls.collectProfile = req.hooks.collectProfile;
-                if (tr && req.hooks.snapshotHook) {
+                if (tr && req.hooks.pauseHook) {
                     // Mark the pauseAtCycle pause on this worker's track.
-                    auto inner = req.hooks.snapshotHook;
-                    std::string label = req.label;
-                    controls.snapshotHook =
-                        [tr, tid, inner, label](MachineSnapshot &snap,
-                                                const CompiledUnit &unit) {
-                            tr->instant("snapshot", "engine", tid, label);
-                            inner(snap, unit);
-                        };
+                    controls.pauseHook = [&](auto memory, auto regs,
+                                             const CompiledUnit &u) {
+                        tr->instant("pause", "engine", tid, req.label);
+                        req.hooks.pauseHook(memory, regs, u);
+                    };
                 }
                 rep.result = runUnitOn(*unit, std::move(image), controls);
             }

@@ -134,10 +134,10 @@ struct ExecPolicy
 /**
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
- * only in hooks share a compilation. machineSetup and the snapshot
- * pause need the interpreter's seams, so setting one makes an `Auto`
- * request fall back (see needsInterpreter()); imageMutator,
- * unitTransform and collectProfile work on either backend.
+ * only in hooks share a compilation. machineSetup and the pause need
+ * the interpreter's seams, so setting one makes an `Auto` request fall
+ * back (see needsInterpreter()); imageMutator, unitTransform and
+ * collectProfile work on either backend.
  */
 struct Hooks
 {
@@ -155,20 +155,18 @@ struct Hooks
     std::function<void(Machine &, const CompiledUnit &)> machineSetup;
 
     /**
-     * Pause the run once its cycle count first exceeds this value and
-     * hand a MachineSnapshot of the live state (registers, run-time
-     * heap, pipeline state) to @p snapshotHook, which may mutate it;
-     * the run then resumes from the (mutated) snapshot. 0, or a missing
-     * hook, disables the pause. This is the heap-resident fault seam
-     * (src/faults/): unlike imageMutator, the hook sees state the
-     * program built at run time, not the pristine image.
-     * Interpreter-only. See RunControls::pauseAtCycle.
+     * Pause the run once its cycle count first exceeds this value, call
+     * @p pauseHook on the live memory image and registers, and continue
+     * the same run. 0, or a missing hook, disables the pause. This is
+     * the heap- and stack-resident fault seam (src/faults/): unlike
+     * imageMutator, the hook sees state the program built at run time,
+     * not the pristine image. Interpreter-only. See
+     * RunControls::pauseAtCycle.
      */
     uint64_t pauseAtCycle = 0;
 
-    /** Forwarded to RunControls::snapshotHook. */
-    std::function<void(MachineSnapshot &, const CompiledUnit &)>
-        snapshotHook;
+    /** Forwarded to RunControls::pauseHook. */
+    PauseHook pauseHook;
 
     /**
      * Collect the per-PC instruction profile for this cell
@@ -217,7 +215,7 @@ struct Hooks
     bool needsInterpreter() const
     {
         return static_cast<bool>(machineSetup) ||
-               (pauseAtCycle > 0 && static_cast<bool>(snapshotHook));
+               (pauseAtCycle > 0 && static_cast<bool>(pauseHook));
     }
 };
 
@@ -376,7 +374,7 @@ class Engine
      * worker's track — the run span's category names the backend that
      * executed it ("engine/interpreter" or "engine/translated") — plus
      * "translate" and "verify" spans when a unit object is translated
-     * or verified for the first time, and a "snapshot" instant at a
+     * or verified for the first time, and a "pause" instant at a
      * pauseAtCycle pause. The recorder must outlive all runs made while
      * attached; the pointer itself is read atomically, so attaching
      * around a runGrid() call from the calling thread is safe.

@@ -73,17 +73,13 @@ runUnitOn(const CompiledUnit &unit, Memory image,
         }
     };
 
-    if (controls.snapshotHook && controls.pauseAtCycle > 0 &&
+    if (controls.pauseHook && controls.pauseAtCycle > 0 &&
         controls.pauseAtCycle < controls.maxCycles) {
         runTo(controls.pauseAtCycle);
         if (r.stop == StopReason::CycleLimit && !r.timedOut) {
-            // Paused at the requested cycle: expose the live state.
-            MachineSnapshot snap = m.snapshot();
-            controls.snapshotHook(snap, unit);
-            // The hook may perturb state, but the run stays paused.
-            snap.stop = StopReason::CycleLimit;
-            m.restore(snap);
-            r.snapshotTaken = true;
+            // Paused at the requested cycle: the hook edits the live run.
+            controls.pauseHook(m.memory().words(), m.regs(), unit);
+            r.paused = true;
         }
     }
     if (!r.timedOut && (!started || r.stop == StopReason::CycleLimit))

@@ -24,11 +24,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "compiler/unit.h"
 #include "machine/machine.h"
-#include "machine/snapshot.h"
 #include "obs/profiler.h"
 
 namespace mxl {
@@ -45,7 +45,7 @@ struct RunResult
     uint64_t heapUsed = 0;    ///< bytes live after the last collection
     bool timedOut = false;    ///< RunControls::deadlineSeconds expired
     int faultIndex = -1;      ///< Machine::faultIndex() (traps/wild access)
-    bool snapshotTaken = false; ///< RunControls::snapshotHook was invoked
+    bool paused = false;      ///< RunControls::pauseHook was called
 
     /**
      * Per-PC execution/cycle histogram, present only when the run was
@@ -58,6 +58,16 @@ struct RunResult
 
     bool ok() const { return stop == StopReason::Halted; }
 };
+
+/**
+ * The pause seam: called on a run paused at RunControls::pauseAtCycle
+ * with the live machine's whole memory image (word-indexed) and its
+ * registers, both valid only during the call. Writes to @p memory are
+ * what the rest of the run sees.
+ */
+using PauseHook = std::function<void(std::span<uint32_t> memory,
+                                     std::span<const uint32_t, 32> regs,
+                                     const CompiledUnit &)>;
 
 /**
  * Execution knobs beyond the cycle guard. The defaults reproduce the
@@ -96,21 +106,20 @@ struct RunControls
 
     /**
      * Pause the run once its cycle count first exceeds this value
-     * (0 = never). At the pause the machine is snapshotted, the
-     * snapshot handed to @p snapshotHook, and the (possibly mutated)
-     * snapshot restored and resumed to maxCycles — the seam heap-
-     * resident fault injection rides (src/faults/): the hook sees the
-     * *live* state at cycle N, registers and run-time heap included,
-     * not the pristine image. A run that halts before the pause point
-     * never invokes the hook. Without a hook the pause is skipped
-     * entirely; with one, a completed run is cycle-identical to an
-     * unpaused run of the same request (tests/test_snapshots.cc).
+     * (0 = never), call @p pauseHook on the paused machine's memory and
+     * registers, and continue the same machine to maxCycles
+     * (Machine::resume). This is the seam heap- and stack-resident fault
+     * injection rides (src/faults/): the hook sees the *live* state at
+     * cycle N, the run-time heap and stack included, not the pristine
+     * image. A run that stops before the pause point never calls the
+     * hook. Without a hook the pause is skipped entirely; with one that
+     * writes nothing, a completed run is cycle-identical to an unpaused
+     * run of the same request (tests/test_faults.cc).
      */
     uint64_t pauseAtCycle = 0;
 
-    /** Invoked once at the pauseAtCycle pause; may mutate the snapshot. */
-    std::function<void(MachineSnapshot &, const CompiledUnit &)>
-        snapshotHook;
+    /** Called once at the pauseAtCycle pause. */
+    PauseHook pauseHook;
 
     /**
      * Collect the per-PC instruction profile (RunResult::profile). This

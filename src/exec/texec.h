@@ -22,8 +22,8 @@
  * translateUnit() declines units it cannot prove equivalent (malformed
  * delay-slot structure per analysis::buildCfg, tag-hardware opcodes
  * without the matching HardwareConfig bit, trap-capable ops scheduled
- * into delay slots), and runTranslated() has no machineSetup /
- * snapshot / pause seams. The Engine treats both as tier-fallback
+ * into delay slots), and runTranslated() has neither the machineSetup
+ * seam nor the pause. The Engine treats both as tier-fallback
  * conditions: with ExecPolicy::backend == Auto the run transparently
  * drops to the interpreter (core/engine.h).
  */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "support/format.h"
@@ -20,248 +21,123 @@ namespace {
  */
 constexpr uint64_t kCallWindow = 16;
 
-/** Word indices of the static data area of @p unit's layout. */
-void
-staticDataRange(const CompiledUnit &unit, uint32_t *lo, uint32_t *hi)
+/**
+ * Where a memory fault may land: words [lo, hi) of an image (the
+ * scanners clamp hi to the image), preferably one holding a pair
+ * pointer to a byte address in [targetLo, targetHi).
+ */
+struct Region
 {
-    *lo = unit.layout.staticDataBase / 4;
-    *hi = unit.layout.staticLimit / 4;
+    uint32_t lo, hi;
+    uint64_t targetLo, targetHi;
+};
+
+/**
+ * The static data area of the pristine image. Preferred sites are the
+ * cells of quoted list structure, pair pointers back into the static
+ * area: corrupting one models exactly the fault tag checking exists to
+ * catch, a list cell whose type field no longer matches its contents.
+ */
+Region
+staticRegion(const CompiledUnit &unit)
+{
+    return {unit.layout.staticDataBase / 4, unit.layout.staticLimit / 4,
+            unit.layout.staticBase, unit.layout.staticLimit};
 }
 
 /**
- * Candidate words for TagCorrupt: static-area words carrying a
- * pair-typed pointer back into the static area — the cells of quoted
- * list structure. Corrupting one models exactly the fault tag checking
- * exists to catch: a list cell whose type field no longer matches its
- * contents.
+ * The live heap of a paused run: [from-space base, heap allocation
+ * pointer), clamped to the image. Everything in it was allocated by the
+ * program since startup (or survived its last collection); preferred
+ * sites are the cons cells it built, pair pointers back into this range.
  */
-std::vector<uint32_t>
-pairPointerWords(const Memory &image, const CompiledUnit &unit)
+Region
+liveHeap(std::span<const uint32_t> memory, std::span<const uint32_t, 32> regs,
+         const CompiledUnit &unit)
 {
-    const TagScheme &s = *unit.scheme;
-    uint32_t lo, hi;
-    staticDataRange(unit, &lo, &hi);
+    uint32_t words = static_cast<uint32_t>(memory.size());
+    uint32_t fromLo = memory[unit.layout.cellAddr(Cell::FromLo) / 4];
+    uint32_t lo = std::min(fromLo / 4, words);
+    uint32_t hi = std::max(lo, std::min(regs[abi::hp] / 4, words));
+    return {lo, hi, uint64_t{lo} * 4, uint64_t{hi} * 4};
+}
+
+/**
+ * The live stack of a paused run: [sp, stackTop). The stack grows down
+ * from stackTop and sp is a raw byte address, so every word in it is a
+ * live slot: saved registers, spilled values, return addresses.
+ * Preferred sites are saved list values, pair pointers into the heap or
+ * static area.
+ */
+Region
+liveStack(std::span<const uint32_t, 32> regs, const CompiledUnit &unit)
+{
+    return {regs[abi::sp] / 4, unit.layout.stackTop / 4,
+            unit.layout.staticBase, unit.layout.stackTop};
+}
+
+/** Words of @p r holding a pair pointer into its target range. */
+std::vector<uint32_t>
+pairPointerWords(std::span<const uint32_t> memory, const Region &r,
+                 const TagScheme &s)
+{
     std::vector<uint32_t> out;
-    for (uint32_t i = lo; i < hi && i < image.size() / 4; ++i) {
-        uint32_t w = image.word(i);
+    uint32_t hi = std::min<uint64_t>(r.hi, memory.size());
+    for (uint32_t i = r.lo; i < hi; ++i) {
+        uint32_t w = memory[i];
         if (w == 0 || s.primaryTag(w) != s.pointerTag(TypeId::Pair))
             continue;
         uint32_t a = s.detagAddr(w);
-        if (a >= unit.layout.staticBase && a < unit.layout.staticLimit)
+        if (a >= r.targetLo && a < r.targetHi)
             out.push_back(i);
     }
     return out;
 }
 
-/** All nonzero static-data words (BitFlip targets, TagCorrupt fallback). */
+/** All nonzero words of @p r. */
 std::vector<uint32_t>
-nonzeroWords(const Memory &image, const CompiledUnit &unit)
+nonzeroWords(std::span<const uint32_t> memory, const Region &r)
 {
-    uint32_t lo, hi;
-    staticDataRange(unit, &lo, &hi);
     std::vector<uint32_t> out;
-    for (uint32_t i = lo; i < hi && i < image.size() / 4; ++i)
-        if (image.word(i) != 0)
+    uint32_t hi = std::min<uint64_t>(r.hi, memory.size());
+    for (uint32_t i = r.lo; i < hi; ++i)
+        if (memory[i] != 0)
             out.push_back(i);
     return out;
 }
 
+/**
+ * XOR a nonzero delta into the tag field of one word of @p r, a
+ * preferred site if there is one, else any nonzero word (where the
+ * corruption turns a datum into something pointer-shaped). The word
+ * keeps its data part (address) but claims a different type.
+ */
 void
-injectTagCorrupt(Memory &image, const CompiledUnit &unit, uint64_t seed)
+corruptTag(std::span<uint32_t> memory, const Region &r, const TagScheme &s,
+           uint64_t seed)
 {
     FaultRng rng(seed);
-    const TagScheme &s = *unit.scheme;
-    std::vector<uint32_t> sites = pairPointerWords(image, unit);
+    std::vector<uint32_t> sites = pairPointerWords(memory, r, s);
     if (sites.empty())
-        sites = nonzeroWords(image, unit);
+        sites = nonzeroWords(memory, r);
     if (sites.empty())
         return; // nothing to corrupt; the trial will classify as Masked
     uint32_t idx = sites[rng.below(sites.size())];
-    // XOR a nonzero delta into the tag field: the word keeps its data
-    // part (address) but claims a different type.
     uint32_t tagMask = (1u << s.tagBits()) - 1u;
     uint32_t delta = 1u + static_cast<uint32_t>(rng.below(tagMask));
-    image.word(idx) ^= delta << s.tagShift();
+    memory[idx] ^= delta << s.tagShift();
 }
 
+/** Flip one bit of one nonzero word of @p r. */
 void
-injectBitFlip(Memory &image, const CompiledUnit &unit, uint64_t seed)
+flipBit(std::span<uint32_t> memory, const Region &r, uint64_t seed)
 {
     FaultRng rng(seed);
-    std::vector<uint32_t> sites = nonzeroWords(image, unit);
+    std::vector<uint32_t> sites = nonzeroWords(memory, r);
     if (sites.empty())
         return;
     uint32_t idx = sites[rng.below(sites.size())];
-    image.word(idx) ^= 1u << rng.below(32);
-}
-
-/**
- * The live heap of a paused run, as word indices into the snapshot's
- * memory: [from-space base, heap allocation pointer). Everything in
- * this range was allocated by the program itself since startup (or
- * survived its last collection).
- */
-void
-liveHeapRange(const MachineSnapshot &snap, const CompiledUnit &unit,
-              uint32_t *lo, uint32_t *hi)
-{
-    uint32_t fromLo =
-        snap.memory[unit.layout.cellAddr(Cell::FromLo) / 4];
-    uint32_t hp = snap.regs[abi::hp];
-    uint32_t words = static_cast<uint32_t>(snap.memory.size());
-    *lo = std::min(fromLo / 4, words);
-    *hi = std::min(hp / 4, words);
-    if (*hi < *lo)
-        *hi = *lo;
-}
-
-/**
- * Candidate words for HeapTagCorrupt: live-heap words carrying a
- * pair-typed pointer back into the live heap — the cons cells of
- * structure the program built at run time.
- */
-std::vector<uint32_t>
-heapPairPointerWords(const MachineSnapshot &snap, const CompiledUnit &unit)
-{
-    const TagScheme &s = *unit.scheme;
-    uint32_t lo, hi;
-    liveHeapRange(snap, unit, &lo, &hi);
-    std::vector<uint32_t> out;
-    for (uint32_t i = lo; i < hi; ++i) {
-        uint32_t w = snap.memory[i];
-        if (w == 0 || s.primaryTag(w) != s.pointerTag(TypeId::Pair))
-            continue;
-        uint32_t a = s.detagAddr(w);
-        if (a / 4 >= lo && a / 4 < hi)
-            out.push_back(i);
-    }
-    return out;
-}
-
-/** All nonzero live-heap words (HeapBitFlip targets, fallback sites). */
-std::vector<uint32_t>
-heapNonzeroWords(const MachineSnapshot &snap, const CompiledUnit &unit)
-{
-    uint32_t lo, hi;
-    liveHeapRange(snap, unit, &lo, &hi);
-    std::vector<uint32_t> out;
-    for (uint32_t i = lo; i < hi; ++i)
-        if (snap.memory[i] != 0)
-            out.push_back(i);
-    return out;
-}
-
-void
-injectHeapTagCorrupt(MachineSnapshot &snap, const CompiledUnit &unit,
-                     uint64_t seed)
-{
-    FaultRng rng(seed);
-    const TagScheme &s = *unit.scheme;
-    std::vector<uint32_t> sites = heapPairPointerWords(snap, unit);
-    if (sites.empty())
-        sites = heapNonzeroWords(snap, unit);
-    if (sites.empty())
-        return; // empty heap at the pause point: trial classifies Masked
-    uint32_t idx = sites[rng.below(sites.size())];
-    uint32_t tagMask = (1u << s.tagBits()) - 1u;
-    uint32_t delta = 1u + static_cast<uint32_t>(rng.below(tagMask));
-    snap.memory[idx] ^= delta << s.tagShift();
-}
-
-void
-injectHeapBitFlip(MachineSnapshot &snap, const CompiledUnit &unit,
-                  uint64_t seed)
-{
-    FaultRng rng(seed);
-    std::vector<uint32_t> sites = heapNonzeroWords(snap, unit);
-    if (sites.empty())
-        return;
-    uint32_t idx = sites[rng.below(sites.size())];
-    snap.memory[idx] ^= 1u << rng.below(32);
-}
-
-/**
- * The live stack of a paused run, as word indices into the snapshot's
- * memory: [sp, stackTop). The stack grows down from stackTop and sp is
- * a raw byte address, so every word in this range is a live slot —
- * saved registers, spilled values, return addresses.
- */
-void
-liveStackRange(const MachineSnapshot &snap, const CompiledUnit &unit,
-               uint32_t *lo, uint32_t *hi)
-{
-    uint32_t sp = snap.regs[abi::sp];
-    uint32_t words = static_cast<uint32_t>(snap.memory.size());
-    *lo = std::min(sp / 4, words);
-    *hi = std::min(unit.layout.stackTop / 4, words);
-    if (*hi < *lo)
-        *hi = *lo;
-}
-
-/**
- * Candidate slots for StackTagCorrupt: stack words carrying a
- * pair-typed pointer into the heap or static area — saved list values.
- * Fallback: any nonzero slot (return addresses, fixnums), where a tag
- * corruption turns a datum into something pointer-shaped.
- */
-std::vector<uint32_t>
-stackPairPointerWords(const MachineSnapshot &snap, const CompiledUnit &unit)
-{
-    const TagScheme &s = *unit.scheme;
-    uint32_t lo, hi;
-    liveStackRange(snap, unit, &lo, &hi);
-    std::vector<uint32_t> out;
-    for (uint32_t i = lo; i < hi; ++i) {
-        uint32_t w = snap.memory[i];
-        if (w == 0 || s.primaryTag(w) != s.pointerTag(TypeId::Pair))
-            continue;
-        uint32_t a = s.detagAddr(w);
-        if (a >= unit.layout.staticBase && a < unit.layout.stackTop)
-            out.push_back(i);
-    }
-    return out;
-}
-
-/** All nonzero live stack slots (StackBitFlip targets, fallback sites). */
-std::vector<uint32_t>
-stackNonzeroWords(const MachineSnapshot &snap, const CompiledUnit &unit)
-{
-    uint32_t lo, hi;
-    liveStackRange(snap, unit, &lo, &hi);
-    std::vector<uint32_t> out;
-    for (uint32_t i = lo; i < hi; ++i)
-        if (snap.memory[i] != 0)
-            out.push_back(i);
-    return out;
-}
-
-void
-injectStackTagCorrupt(MachineSnapshot &snap, const CompiledUnit &unit,
-                      uint64_t seed)
-{
-    FaultRng rng(seed);
-    const TagScheme &s = *unit.scheme;
-    std::vector<uint32_t> sites = stackPairPointerWords(snap, unit);
-    if (sites.empty())
-        sites = stackNonzeroWords(snap, unit);
-    if (sites.empty())
-        return; // empty stack at the pause point: trial classifies Masked
-    uint32_t idx = sites[rng.below(sites.size())];
-    uint32_t tagMask = (1u << s.tagBits()) - 1u;
-    uint32_t delta = 1u + static_cast<uint32_t>(rng.below(tagMask));
-    snap.memory[idx] ^= delta << s.tagShift();
-}
-
-void
-injectStackBitFlip(MachineSnapshot &snap, const CompiledUnit &unit,
-                   uint64_t seed)
-{
-    FaultRng rng(seed);
-    std::vector<uint32_t> sites = stackNonzeroWords(snap, unit);
-    if (sites.empty())
-        return;
-    uint32_t idx = sites[rng.below(sites.size())];
-    snap.memory[idx] ^= 1u << rng.below(32);
+    memory[idx] ^= 1u << rng.below(32);
 }
 
 void
@@ -353,13 +229,14 @@ armFault(RunRequest &req, const FaultSpec &spec)
       case FaultClass::TagCorrupt:
         req.hooks.imageMutator = [seed = spec.seed](Memory &image,
                                               const CompiledUnit &unit) {
-            injectTagCorrupt(image, unit, seed);
+            corruptTag(image.words(), staticRegion(unit), *unit.scheme,
+                       seed);
         };
         break;
       case FaultClass::BitFlip:
         req.hooks.imageMutator = [seed = spec.seed](Memory &image,
                                               const CompiledUnit &unit) {
-            injectBitFlip(image, unit, seed);
+            flipBit(image.words(), staticRegion(unit), seed);
         };
         break;
       case FaultClass::CallArgType:
@@ -369,39 +246,24 @@ armFault(RunRequest &req, const FaultSpec &spec)
         };
         break;
       case FaultClass::HeapTagCorrupt:
-        MXL_ASSERT(spec.pauseCycle > 0,
-                   "heap-resident faults need FaultSpec::pauseCycle");
-        req.hooks.pauseAtCycle = spec.pauseCycle;
-        req.hooks.snapshotHook = [seed = spec.seed](MachineSnapshot &snap,
-                                              const CompiledUnit &unit) {
-            injectHeapTagCorrupt(snap, unit, seed);
-        };
-        break;
       case FaultClass::HeapBitFlip:
-        MXL_ASSERT(spec.pauseCycle > 0,
-                   "heap-resident faults need FaultSpec::pauseCycle");
-        req.hooks.pauseAtCycle = spec.pauseCycle;
-        req.hooks.snapshotHook = [seed = spec.seed](MachineSnapshot &snap,
-                                              const CompiledUnit &unit) {
-            injectHeapBitFlip(snap, unit, seed);
-        };
-        break;
       case FaultClass::StackTagCorrupt:
-        MXL_ASSERT(spec.pauseCycle > 0,
-                   "stack-resident faults need FaultSpec::pauseCycle");
-        req.hooks.pauseAtCycle = spec.pauseCycle;
-        req.hooks.snapshotHook = [seed = spec.seed](MachineSnapshot &snap,
-                                              const CompiledUnit &unit) {
-            injectStackTagCorrupt(snap, unit, seed);
-        };
-        break;
       case FaultClass::StackBitFlip:
         MXL_ASSERT(spec.pauseCycle > 0,
-                   "stack-resident faults need FaultSpec::pauseCycle");
+                   "heap- and stack-resident faults need "
+                   "FaultSpec::pauseCycle");
         req.hooks.pauseAtCycle = spec.pauseCycle;
-        req.hooks.snapshotHook = [seed = spec.seed](MachineSnapshot &snap,
-                                              const CompiledUnit &unit) {
-            injectStackBitFlip(snap, unit, seed);
+        req.hooks.pauseHook = [spec](std::span<uint32_t> memory,
+                                     std::span<const uint32_t, 32> regs,
+                                     const CompiledUnit &unit) {
+            Region r = faultClassIsHeap(spec.cls)
+                           ? liveHeap(memory, regs, unit)
+                           : liveStack(regs, unit);
+            if (spec.cls == FaultClass::HeapTagCorrupt ||
+                spec.cls == FaultClass::StackTagCorrupt)
+                corruptTag(memory, r, *unit.scheme, spec.seed);
+            else
+                flipBit(memory, r, spec.seed);
         };
         break;
     }

@@ -19,9 +19,9 @@
  *  - HeapTagCorrupt / HeapBitFlip: the same two memory-corruption
  *    models applied to the *live run-time heap* instead of the static
  *    image. The run is paused mid-execution (Hooks::pauseAtCycle),
- *    a MachineSnapshot of the live state is scanned for tagged words
- *    between the from-space base and the heap allocation pointer, one
- *    is perturbed, and the run resumes — corruption of data the program
+ *    the live memory is scanned for tagged words between the
+ *    from-space base and the heap allocation pointer, one is perturbed
+ *    in place, and the run continues — corruption of data the program
  *    built itself, the case static-image injection cannot model.
  *  - StackTagCorrupt / StackBitFlip: the paused-run models applied to
  *    the *live control/value stack*, [sp, stackTop). Stack slots hold
@@ -33,9 +33,9 @@
  * Everything is derived from FaultSpec::seed with a splitmix64 stream:
  * the same (spec, compiled unit) pair always yields the same injected
  * fault, so campaigns are replayable cell by cell. Faults are applied
- * through RunRequest::hooks' imageMutator/machineSetup seams, i.e. to the
- * per-run expanded image and machine — never to the engine's cached
- * compiled unit.
+ * through RunRequest::hooks' imageMutator/machineSetup/pauseHook seams,
+ * i.e. to the per-run expanded image and the live run — never to the
+ * engine's cached compiled unit.
  */
 
 #ifndef MXLISP_FAULTS_FAULT_INJECTOR_H_
@@ -68,8 +68,8 @@ bool faultClassIsHeap(FaultClass cls);
 /** True for the classes injected into a paused run's live stack. */
 bool faultClassIsStack(FaultClass cls);
 
-/** True for every class that needs a mid-run pause + snapshot mutation
- *  (heap- and stack-resident faults); these require a nonzero
+/** True for every class injected at a mid-run pause (heap- and
+ *  stack-resident faults); these require a nonzero
  *  FaultSpec::pauseCycle. */
 bool faultClassNeedsPause(FaultClass cls);
 
@@ -127,8 +127,9 @@ class FaultRng
 
 /**
  * Attach @p spec to @p req: installs the imageMutator (TagCorrupt,
- * BitFlip) or machineSetup hook (CallArgType) that applies the fault to
- * each run of the request. The request's other fields are untouched;
+ * BitFlip), machineSetup hook (CallArgType) or pauseAtCycle +
+ * pauseHook (heap and stack classes) that applies the fault to each
+ * run of the request. The request's other fields are untouched;
  * in particular the compiled-unit cache key is unchanged, so all trials
  * of one grid cell share a single compilation.
  */

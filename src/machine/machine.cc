@@ -1,8 +1,7 @@
 #include "machine/machine.h"
 
-#include <algorithm>
+#include <utility>
 
-#include "machine/snapshot.h"
 #include "support/format.h"
 #include "support/panic.h"
 
@@ -385,54 +384,6 @@ Machine::resume(uint64_t maxCycles)
     return runGuarded(maxCycles);
 }
 
-MachineSnapshot
-Machine::snapshot() const
-{
-    MachineSnapshot s;
-    std::copy(std::begin(regs_), std::end(regs_), std::begin(s.regs));
-    s.pc = pc_;
-    std::copy(std::begin(trapHandler_), std::end(trapHandler_),
-              std::begin(s.trapHandler));
-    s.memory = mem_.words();
-    s.memTagLocks = memLocks_;
-    s.pendingLoadReg = pendingLoadReg_;
-    s.slotsRemaining = slotsRemaining_;
-    s.branchTaken = branchTaken_;
-    s.annulSlots = annulSlots_;
-    s.branchTarget = branchTarget_;
-    s.branchIdx = branchIdx_;
-    s.stats = stats_;
-    s.output = out_;
-    s.exitValue = exitValue_;
-    s.errorCode = errorCode_;
-    s.stop = stop_;
-    s.faultIndex = faultIndex_;
-    return s;
-}
-
-void
-Machine::restore(const MachineSnapshot &s)
-{
-    std::copy(std::begin(s.regs), std::end(s.regs), std::begin(regs_));
-    pc_ = s.pc;
-    std::copy(std::begin(s.trapHandler), std::end(s.trapHandler),
-              std::begin(trapHandler_));
-    mem_.setWords(s.memory);
-    memLocks_ = s.memTagLocks;
-    pendingLoadReg_ = s.pendingLoadReg;
-    slotsRemaining_ = s.slotsRemaining;
-    branchTaken_ = s.branchTaken;
-    annulSlots_ = s.annulSlots;
-    branchTarget_ = s.branchTarget;
-    branchIdx_ = s.branchIdx;
-    stats_ = s.stats;
-    out_ = s.output;
-    exitValue_ = s.exitValue;
-    errorCode_ = s.errorCode;
-    stop_ = s.stop;
-    faultIndex_ = s.faultIndex;
-}
-
 StopReason
 Machine::runGuarded(uint64_t maxCycles)
 {
@@ -470,8 +421,8 @@ Machine::runLoop(uint64_t maxCycles)
         if (slotsRemaining_ > 0) {
             // Inside the delay slots of the in-flight branch; pc_ points
             // at the slot instruction. Each slot is its own loop step so
-            // the cycle guard above can pause (and a snapshot can be
-            // taken) between a branch and its slots.
+            // the cycle guard above can pause (and the pause hook can
+            // run) between a branch and its slots.
             MXL_ASSERT(!isControl(inst.op),
                        "control transfer in a delay slot at ", pc_);
             if (annulSlots_) {

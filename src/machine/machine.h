@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -132,8 +133,6 @@ unhandledTrapIndex(int64_t code)
                             kUnhandledTrapStride);
 }
 
-struct MachineSnapshot;
-
 class Machine
 {
   public:
@@ -157,27 +156,14 @@ class Machine
      * the same CycleStats, output, and stop as one uninterrupted run,
      * even when the pause lands between a branch and its delay slots or
      * on a pending load delay — all pipeline state is machine state
-     * (this is what wall-clock deadlines and snapshots are built on;
-     * core/run.h, machine/snapshot.h).
+     * (wall-clock deadlines and the pause hook are built on this;
+     * core/run.h).
      */
     StopReason resume(uint64_t maxCycles);
 
-    /**
-     * Capture the complete execution state: registers, memory image,
-     * cycle/stall accounting, output, trap-handler installs, and the
-     * pipeline state (pending load delay, in-flight branch and its
-     * remaining delay slots). A snapshot taken from a CycleLimit pause
-     * can be restore()d — into this machine or any machine built on the
-     * same Program and configuration — and resume()d, and the continued
-     * run is cycle-identical to one that was never interrupted.
-     */
-    MachineSnapshot snapshot() const;
-
-    /** Adopt @p snap wholesale (memory sizes must match). */
-    void restore(const MachineSnapshot &snap);
-
     uint32_t reg(Reg r) const { return regs_[r]; }
     void setReg(Reg r, uint32_t v) { if (r) regs_[r] = v; }
+    std::span<const uint32_t, 32> regs() const { return regs_; }
 
     Memory &memory() { return mem_; }
     const Memory &memory() const { return mem_; }
@@ -224,8 +210,7 @@ class Machine
      * including its load-interlock stalls and, for a squashing branch,
      * its annulled slot cycles — so the cycle histogram sums exactly to
      * the CycleStats charged while attached. Pass nullptrs to detach.
-     * Buffers are per-run accessories, not machine state: snapshots do
-     * not carry them.
+     * The buffers are the caller's, not machine state.
      */
     void
     attachProfile(uint64_t *execCounts, uint64_t *cycleCounts)
@@ -314,9 +299,9 @@ class Machine
     uint64_t *profCycles_ = nullptr; ///< attachProfile cycle counts
 
     // In-flight branch state. Delay slots execute as separate loop
-    // steps, so a cycle-limit pause (and therefore a snapshot) can land
-    // between a control transfer and its slots; these fields carry the
-    // branch across that boundary.
+    // steps, so a cycle-limit pause (a deadline chunk or the pause hook)
+    // can land between a control transfer and its slots; these fields
+    // carry the branch across that boundary.
     int slotsRemaining_ = 0;   ///< delay slots left to execute (0..2)
     bool branchTaken_ = false; ///< condition result of the branch
     bool annulSlots_ = false;  ///< slots are squashed, not executed

@@ -46,13 +46,4 @@ Memory::word(uint32_t index) const
     return words_[index];
 }
 
-void
-Memory::setWords(const ZeroedArray<uint32_t> &w)
-{
-    MXL_ASSERT(w.size() == words_.size(),
-               "setWords size mismatch: ", w.size(), " != ",
-               words_.size());
-    words_ = w;
-}
-
 } // namespace mxl

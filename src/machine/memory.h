@@ -16,13 +16,14 @@
  * touches it, and a copy carries only the source's nonzero pages. A
  * run of the default 32 MiB image dirties a few hundred KiB of it (the
  * static area, the heap it allocates, the stack it uses), so images
- * are cheap to make per compile, per run and per snapshot.
+ * are cheap to make per compile and per run.
  */
 
 #ifndef MXLISP_MACHINE_MEMORY_H_
 #define MXLISP_MACHINE_MEMORY_H_
 
 #include <cstdint>
+#include <span>
 
 #include "support/zeroed.h"
 
@@ -60,11 +61,9 @@ class Memory
     uint32_t &word(uint32_t index);
     uint32_t word(uint32_t index) const;
 
-    /** The whole image, word-indexed (snapshot capture/restore). */
-    const ZeroedArray<uint32_t> &words() const { return words_; }
-
-    /** Replace the image contents; @p w must match the current size. */
-    void setWords(const ZeroedArray<uint32_t> &w);
+    /** The whole image, word-indexed, in place (the pause hook's view
+     *  of a live run; core/run.h). */
+    std::span<uint32_t> words() { return {words_.data(), words_.size()}; }
 
   private:
     ZeroedArray<uint32_t> words_;

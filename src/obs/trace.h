@@ -34,7 +34,7 @@
  *
  * Attach a recorder to an engine with Engine::setTrace(); see
  * docs/OBSERVABILITY.md for the span vocabulary (compile / run /
- * snapshot / trial) and how to open a trace in Perfetto.
+ * pause / trial) and how to open a trace in Perfetto.
  */
 
 #ifndef MXLISP_OBS_TRACE_H_

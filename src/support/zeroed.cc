@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #if defined(__unix__) || defined(__APPLE__)

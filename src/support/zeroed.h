@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
 #include <type_traits>
 #include <utility>
 
@@ -88,13 +87,6 @@ class ZeroedArray
     T *end() { return p_ + n_; }
     const T *begin() const { return p_; }
     const T *end() const { return p_ + n_; }
-
-    bool
-    operator==(const ZeroedArray &o) const
-    {
-        return n_ == o.n_ &&
-               (n_ == 0 || std::memcmp(p_, o.p_, n_ * sizeof(T)) == 0);
-    }
 
   private:
     size_t n_ = 0;

@@ -15,7 +15,6 @@
  */
 
 #include <cstdint>
-#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -27,10 +26,10 @@
 #include "core/run.h"
 #include "exec/texec.h"
 #include "isa/assembler.h"
-#include "machine/snapshot.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
 #include "programs/programs.h"
+#include "same_result.h"
 #include "support/format.h"
 #include "support/json.h"
 #include "support/panic.h"
@@ -50,43 +49,6 @@ request(const char *source, Checking checking)
     req.source = source;
     req.opts = baselineOptions(checking);
     return req;
-}
-
-/**
- * Field-by-field comparison of the two backends' results. Everything
- * both backends define is compared; the seam-only fields (profile,
- * snapshotTaken, timedOut) are owned by the caller's expectations.
- */
-::testing::AssertionResult
-sameResult(const RunResult &a, const RunResult &b)
-{
-    static_assert(std::is_trivially_copyable_v<CycleStats>);
-    if (std::memcmp(&a.stats, &b.stats, sizeof(CycleStats)) != 0)
-        return ::testing::AssertionFailure()
-               << "CycleStats differ: total " << a.stats.total << " vs "
-               << b.stats.total << ", instructions "
-               << a.stats.instructions << " vs " << b.stats.instructions;
-    if (a.output != b.output)
-        return ::testing::AssertionFailure()
-               << "output differs (" << a.output.size() << " vs "
-               << b.output.size() << " bytes)";
-    if (a.stop != b.stop)
-        return ::testing::AssertionFailure()
-               << "stop " << int(a.stop) << " vs " << int(b.stop);
-    if (a.errorCode != b.errorCode)
-        return ::testing::AssertionFailure()
-               << "errorCode " << a.errorCode << " vs " << b.errorCode;
-    if (a.exitValue != b.exitValue)
-        return ::testing::AssertionFailure()
-               << "exitValue " << a.exitValue << " vs " << b.exitValue;
-    if (a.faultIndex != b.faultIndex)
-        return ::testing::AssertionFailure()
-               << "faultIndex " << a.faultIndex << " vs " << b.faultIndex;
-    if (a.gcCount != b.gcCount || a.heapUsed != b.heapUsed)
-        return ::testing::AssertionFailure()
-               << "GC cells differ: " << a.gcCount << "/" << a.heapUsed
-               << " vs " << b.gcCount << "/" << b.heapUsed;
-    return ::testing::AssertionSuccess();
 }
 
 /** Interpreter-vs-translated differential for one compiled cell;
@@ -603,10 +565,10 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
 
 TEST(Backend, FallbackPreservesPauseResumeSemantics)
 {
-    // A pause/snapshot request drops the cell to the interpreter tier;
-    // the resulting run must still be byte-identical to the translated
-    // run of the same cell — the tier fallback composes with PR-5's
-    // pause-is-invisible invariant.
+    // A pause request drops the cell to the interpreter tier; the
+    // resulting run must still be byte-identical to the translated run
+    // of the same cell: the tier fallback composes with the invariant
+    // that a pause whose hook writes nothing is invisible.
     Engine eng(1);
     RunRequest plain = request(kLoop, Checking::Full);
     RunReport t = eng.run(plain);
@@ -616,14 +578,15 @@ TEST(Backend, FallbackPreservesPauseResumeSemantics)
     RunRequest paused = plain;
     paused.hooks.pauseAtCycle = 2000;
     bool hooked = false;
-    paused.hooks.snapshotHook = [&](MachineSnapshot &,
-                                    const CompiledUnit &) { hooked = true; };
+    paused.hooks.pauseHook = [&](auto, auto, const CompiledUnit &) {
+        hooked = true;
+    };
     RunReport p = eng.run(paused);
     ASSERT_TRUE(p.ok()) << p.status.message;
     EXPECT_EQ(p.backend, Backend::Interpreter);
     EXPECT_TRUE(p.backendFellBack);
     EXPECT_TRUE(hooked);
-    EXPECT_TRUE(p.result.snapshotTaken);
+    EXPECT_TRUE(p.result.paused);
     EXPECT_TRUE(sameResult(t.result, p.result));
 }
 

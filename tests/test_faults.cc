@@ -1,14 +1,18 @@
 /**
  * Fault-injection subsystem tests: deterministic seeding, injector
- * behavior on real compiled images, outcome classification, and
- * campaign invariants (replayability, count conservation, and the
- * detection differential between checked and unchecked configurations).
- * Run under -DMXL_SANITIZE=address to check the injectors stay inside
- * the simulated image.
+ * behavior on real compiled images, the pause seam the heap and stack
+ * classes ride (Hooks::pauseAtCycle + pauseHook), outcome
+ * classification, and campaign invariants (replayability, count
+ * conservation, and the detection differential between checked and
+ * unchecked configurations). Run under -DMXL_SANITIZE=address and
+ * =undefined to check the injectors stay inside the simulated image.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -20,7 +24,9 @@
 #include "faults/fault_injector.h"
 #include "faults/stats.h"
 #include "obs/bench_gate.h"
+#include "programs/programs.h"
 #include "runtime/stubs.h"
+#include "same_result.h"
 #include "support/json.h"
 #include "support/panic.h"
 
@@ -407,13 +413,13 @@ TEST(FaultInjector, HeapClassesArmThePauseSeamNotTheImage)
     armFault(req, spec);
     EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
     EXPECT_FALSE(static_cast<bool>(req.hooks.machineSetup));
-    EXPECT_TRUE(static_cast<bool>(req.hooks.snapshotHook));
+    EXPECT_TRUE(static_cast<bool>(req.hooks.pauseHook));
     EXPECT_EQ(req.hooks.pauseAtCycle, 5000u);
 
     RunRequest flip;
     spec.cls = FaultClass::HeapBitFlip;
     armFault(flip, spec);
-    EXPECT_TRUE(static_cast<bool>(flip.hooks.snapshotHook));
+    EXPECT_TRUE(static_cast<bool>(flip.hooks.pauseHook));
     EXPECT_EQ(flip.hooks.pauseAtCycle, 5000u);
 }
 
@@ -442,8 +448,8 @@ TEST(FaultInjector, HeapInjectionIsDeterministicThroughTheEngine)
     Engine eng2(1);
     RunReport rb = eng2.run(b);
     ASSERT_TRUE(ra.ok()) << ra.status.message;
-    EXPECT_TRUE(ra.result.snapshotTaken);
-    EXPECT_TRUE(rb.result.snapshotTaken);
+    EXPECT_TRUE(ra.result.paused);
+    EXPECT_TRUE(rb.result.paused);
     EXPECT_EQ(ra.result.stop, rb.result.stop);
     EXPECT_EQ(ra.result.output, rb.result.output);
     EXPECT_EQ(ra.result.errorCode, rb.result.errorCode);
@@ -758,7 +764,7 @@ TEST(FaultInjector, StackClassesArmThePauseSeamNotTheImage)
         armFault(req, spec);
         EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
         EXPECT_FALSE(static_cast<bool>(req.hooks.machineSetup));
-        EXPECT_TRUE(static_cast<bool>(req.hooks.snapshotHook));
+        EXPECT_TRUE(static_cast<bool>(req.hooks.pauseHook));
         EXPECT_EQ(req.hooks.pauseAtCycle, 4000u);
     }
 }
@@ -784,7 +790,7 @@ TEST(FaultInjector, StackInjectionIsDeterministicThroughTheEngine)
     Engine eng2(1);
     RunReport rb = eng2.run(b);
     ASSERT_TRUE(ra.ok()) << ra.status.message;
-    EXPECT_TRUE(ra.result.snapshotTaken);
+    EXPECT_TRUE(ra.result.paused);
     EXPECT_EQ(ra.result.stop, rb.result.stop);
     EXPECT_EQ(ra.result.output, rb.result.output);
     EXPECT_EQ(ra.result.errorCode, rb.result.errorCode);
@@ -814,6 +820,205 @@ TEST(Campaign, StackClassesGetMidRunPauseCycles)
     for (size_t cfg = 0; cfg < r.configCount; ++cfg)
         for (size_t cls = 0; cls < r.classCount; ++cls)
             EXPECT_EQ(r.cell(cfg, cls).total(), perCell);
+}
+
+// ---- the pause seam (Hooks::pauseAtCycle + pauseHook) -----------------
+
+TEST(Snapshot, HookEditsTheLiveRunAtTheInterpretersExactStop)
+{
+    // At every pause point N, an Engine request whose hook flips the
+    // word at sp must match a hand-driven Machine that runs
+    // run(entry, N), flips the same word and resume()s: the hook sees
+    // the registers of the interpreter's exact stop, and its edit is
+    // what the rest of the run sees. Every cycle is a pause point, so
+    // some land between a branch and its delay slots and, for the
+    // overflowing add on generic-arith hardware, inside the arithmetic
+    // trap handler.
+    CompilerOptions arith = baselineOptions(Checking::Full);
+    arith.hw.genericArith = true;
+    const std::pair<const char *, CompilerOptions> cases[] = {
+        {kRev, uncheckedOpts()},
+        {kRev, baselineOptions(Checking::Full)},
+        {"(print (+ 40000000 40000000))", arith},
+    };
+    auto flipAtSp = [](std::span<uint32_t> memory,
+                       std::span<const uint32_t, 32> regs) {
+        if (regs[mxl::abi::sp] / 4 < memory.size())
+            memory[regs[mxl::abi::sp] / 4] ^= 1;
+    };
+    Engine eng(1);
+    for (const auto &[source, opts] : cases) {
+        SCOPED_TRACE(source);
+        RunRequest req;
+        req.source = source;
+        req.opts = opts;
+        req.exec.maxCycles = 100'000;
+        req.hooks.collectProfile = true;
+        RunReport golden = eng.run(req);
+        ASSERT_TRUE(golden.ok()) << golden.status.message;
+        req.hooks.collectProfile = false;
+        const std::shared_ptr<const CompiledUnit> unit =
+            eng.compile(req.source, req.opts).unit;
+        if (opts.hw.genericArith) { // the trap handler ran
+            ASSERT_GT(golden.result.profile->execCount.at(unit->arithTrap),
+                      0u);
+        }
+
+        for (uint64_t n = 1; n < golden.result.stats.total; ++n) {
+            RunRequest paused = req;
+            paused.hooks.pauseAtCycle = n;
+            std::array<uint32_t, 32> seen{};
+            paused.hooks.pauseHook = [&](std::span<uint32_t> memory,
+                                         std::span<const uint32_t, 32> regs,
+                                         const CompiledUnit &) {
+                std::ranges::copy(regs, seen.begin());
+                flipAtSp(memory, regs);
+            };
+            RunReport rep = eng.run(paused);
+            ASSERT_TRUE(rep.status.ok()) << n << ": " << rep.status.message;
+
+            // The image expandImage() gives the engine's run.
+            Machine m(unit->prog, Memory(unit->layout.memBytes, unit->memory),
+                      unit->opts.hw, unit->scheme.get());
+            if (unit->opts.hw.genericArith && unit->arithTrap >= 0)
+                m.setTrapHandler(TrapKind::ArithFail, unit->arithTrap);
+            StopReason stop = m.run(unit->entry, n);
+            ASSERT_EQ(rep.result.paused, stop == StopReason::CycleLimit)
+                << n;
+            if (stop == StopReason::CycleLimit) {
+                ASSERT_TRUE(std::ranges::equal(seen, m.regs())) << n;
+                flipAtSp(m.memory().words(), m.regs());
+                m.resume(req.exec.maxCycles);
+            }
+            RunResult manual;
+            manual.stats = m.stats();
+            manual.output = m.output();
+            manual.stop = m.stopReason();
+            manual.errorCode = m.errorCode();
+            manual.exitValue = m.exitValue();
+            manual.faultIndex = m.faultIndex();
+            manual.gcCount =
+                m.memory().load(unit->layout.cellAddr(Cell::GcCount));
+            manual.heapUsed =
+                m.memory().load(unit->layout.cellAddr(Cell::HeapUsed));
+            ASSERT_TRUE(sameResult(rep.result, manual)) << "pause at " << n;
+        }
+    }
+}
+
+TEST(Snapshot, SeededPausePointsAcrossAllProgramsAndConfigs)
+{
+    // At seeded pause points of all ten benchmark programs, unchecked
+    // and on the full checked-memory hardware rung, a pause whose hook
+    // writes nothing leaves the run identical to the unpaused run.
+    const CompilerOptions configs[2] = {uncheckedOpts(), checkedAllOpts()};
+    FaultRng rng(0x534E4150); // "SNAP"
+    Engine eng(1);
+    for (const auto &p : benchmarkPrograms()) {
+        for (const CompilerOptions &opts : configs) {
+            RunRequest req;
+            req.source = p.source;
+            req.opts = opts;
+            req.opts.heapBytes = p.heapBytes;
+            req.exec.maxCycles = p.maxCycles;
+            req.exec.backend = Backend::Interpreter;
+            RunReport whole = eng.run(req);
+            ASSERT_TRUE(whole.ok()) << p.name << ": "
+                                    << whole.status.message;
+
+            for (int i = 0; i < 2; ++i) {
+                RunRequest paused = req;
+                paused.hooks.pauseAtCycle =
+                    1 + rng.below(whole.result.stats.total - 1);
+                paused.hooks.pauseHook = [](auto, auto,
+                                            const CompiledUnit &) {};
+                SCOPED_TRACE(p.name + " pause " +
+                             std::to_string(paused.hooks.pauseAtCycle));
+                RunReport rep = eng.run(paused);
+                ASSERT_TRUE(rep.status.ok()) << rep.status.message;
+                EXPECT_TRUE(rep.result.paused);
+                EXPECT_TRUE(sameResult(rep.result, whole.result));
+            }
+        }
+    }
+}
+
+TEST(Snapshot, EnginePauseWithIdentityHookIsInvisible)
+{
+    const char *src =
+        "(de build (n) (if (lessp n 1) nil (cons n (build (sub1 n)))))"
+        "(print (length (build 60)))";
+    Engine eng(2);
+
+    RunRequest plain;
+    plain.source = src;
+    plain.opts = baselineOptions(Checking::Full);
+    RunReport base = eng.run(plain);
+    ASSERT_TRUE(base.ok()) << base.status.message;
+    EXPECT_FALSE(base.result.paused);
+
+    RunRequest paused = plain;
+    paused.hooks.pauseAtCycle = base.result.stats.total / 2;
+    bool hookRan = false;
+    paused.hooks.pauseHook = [&](auto, auto, const CompiledUnit &) {
+        hookRan = true;
+    };
+    RunReport rep = eng.run(paused);
+    ASSERT_TRUE(rep.ok()) << rep.status.message;
+    EXPECT_TRUE(hookRan);
+    EXPECT_TRUE(rep.result.paused);
+    EXPECT_TRUE(rep.result.stats == base.result.stats);
+    EXPECT_EQ(rep.result.output, base.result.output);
+}
+
+TEST(Snapshot, EnginePauseAfterHaltNeverFiresHook)
+{
+    RunRequest req;
+    req.source = "(print 11)";
+    req.opts = baselineOptions(Checking::Off);
+    req.hooks.pauseAtCycle = 1u << 30; // far past the program's halt
+    bool hookRan = false;
+    req.hooks.pauseHook = [&](auto, auto, const CompiledUnit &) {
+        hookRan = true;
+    };
+    Engine eng(1);
+    RunReport rep = eng.run(req);
+    ASSERT_TRUE(rep.ok());
+    EXPECT_FALSE(hookRan);
+    EXPECT_FALSE(rep.result.paused);
+}
+
+TEST(Snapshot, EngineHookMutationPerturbsTheRun)
+{
+    const char *src =
+        "(de build (n) (if (lessp n 1) nil (cons n (build (sub1 n)))))"
+        "(print (length (build 80)))";
+    RunRequest req;
+    req.source = src;
+    req.opts = baselineOptions(Checking::Off);
+    Engine eng(1);
+    RunReport base = eng.run(req);
+    ASSERT_TRUE(base.ok());
+
+    // Zero the whole live heap at the pause: the run must observably
+    // diverge (wrong output, error, or crash) yet stay a classified
+    // simulation outcome — never a host failure.
+    RunRequest mutated = req;
+    mutated.hooks.pauseAtCycle = base.result.stats.total / 2;
+    mutated.hooks.pauseHook = [](std::span<uint32_t> memory,
+                                 std::span<const uint32_t, 32> regs,
+                                 const CompiledUnit &unit) {
+        uint32_t lo = memory[unit.layout.cellAddr(Cell::FromLo) / 4] / 4;
+        uint32_t hi = regs[mxl::abi::hp] / 4;
+        for (uint32_t i = lo; i < hi && i < memory.size(); ++i)
+            memory[i] = 0;
+    };
+    RunReport rep = eng.run(mutated);
+    EXPECT_TRUE(rep.result.paused);
+    bool diverged = !rep.status.ok() ||
+                    rep.result.stop != StopReason::Halted ||
+                    rep.result.output != base.result.output;
+    EXPECT_TRUE(diverged);
 }
 
 // ---- classification edge cases ----------------------------------------
