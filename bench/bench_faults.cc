@@ -25,23 +25,31 @@
  * Per-program cycle budgets are derived from a fault-free pre-pass
  * (golden cycles × margin), so a runaway faulted run is cut off a few
  * golden-run-lengths in rather than at the global 800M-cycle guard.
+ * The budget is each trial's only budget: no outcome depends on
+ * wall-clock time, so the matrix and the journal are functions of the
+ * seed.
  *
  * Faulted trials run process-isolated by default: persistent forked
  * workers (support/procpool.h) each run one trial at a time, so a
  * worker's death indicts exactly the trial it was running. A watchdog
  * kills a worker whose trial hangs, and the culprit is re-dispatched
  * to a fresh worker (respawned with backoff), so a trial that crashes
- * the simulator itself cannot take the campaign down. To prove it,
- * the harness injects its own chaos — two worker SIGSEGVs and one
- * hang, first attempt only — and checks the campaign still completes
- * with every trial classified. --no-sandbox runs in-process.
+ * the simulator itself cannot take the campaign down. Each watchdog is
+ * derived from the trial's cycle budget: kWatchdogMargin × budget ×
+ * the goldens' measured seconds per cycle (faults/campaign.h); the
+ * harness prints the rate and every program's watchdog. To prove
+ * containment, the harness injects its own chaos — two worker
+ * SIGSEGVs and one hang, first attempt only — and checks the campaign
+ * completes with exactly those three deaths, one of them a watchdog
+ * kill. --no-sandbox runs in-process.
  *
  * The campaign is durable: every classified trial is appended to a
- * JSONL journal (default BENCH_faults.jsonl). Kill the process at any
- * point and rerun with `--resume <journal>` — already-journaled trials
- * are skipped and the campaign converges on the identical coverage
- * matrix. (The resume acceptance check replays half the journal
- * in-process, which doubles as a sandbox-vs-in-process differential.)
+ * JSONL journal (default BENCH_faults.jsonl) in trial order. Kill the
+ * process at any point and rerun with `--resume <journal>` —
+ * already-journaled trials are skipped and the campaign converges on
+ * the identical coverage matrix and journal. (The resume acceptance
+ * check replays half the journal in-process and compares both byte
+ * for byte, which doubles as a sandbox-vs-in-process differential.)
  * The machine-readable outputs land in BENCH_faults.json: golden grid
  * in core/report.h's JSON schema + the coverage matrix, where every
  * cell carries detection coverage with a Wilson 95% interval and cycle
@@ -59,6 +67,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -135,6 +144,13 @@ measureBudgets(Engine &eng)
     return budgets;
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 Campaign
 buildCampaign(const std::vector<uint64_t> &budgets, int trials)
 {
@@ -150,7 +166,6 @@ buildCampaign(const std::vector<uint64_t> &budgets, int trials)
                  FaultClass::StackBitFlip};
     c.trials = trials;
     c.seed = 19870401; // fixed: the matrix below is reproducible
-    c.deadlineSeconds = 30;
     return c;
 }
 
@@ -212,9 +227,6 @@ main(int argc, char **argv)
     options.resume = resume;
     options.sandbox.enabled = sandbox;
     options.sandbox.procs = procs;
-    // Above the per-trial deadline: the watchdog exists for workers
-    // that stop making progress entirely, not for slow trials.
-    options.sandbox.watchdogSeconds = campaign.deadlineSeconds + 10;
     // Self-inflicted chaos (first attempt only): two trials whose worker
     // dies by SIGSEGV and one that hangs until the watchdog kills it.
     // The retry runs them clean, so the matrix is unaffected — the
@@ -245,6 +257,20 @@ main(int argc, char **argv)
     CampaignResult r = runCampaign(eng, campaign, options);
     std::printf("%zu trials run, %zu restored from journal (of %zu)\n\n",
                 completed, r.journaled, total);
+    // Where each sandbox watchdog comes from: the trial's budget at the
+    // goldens' host rate, times the margin (as faults/campaign.cc
+    // dispatches it), plus the pool's fixed grace.
+    std::printf("golden rate %.2f ns/cycle; sandbox watchdog = %g x budget "
+                "x rate, + %d ms grace:\n",
+                r.goldenSecondsPerCycle * 1e9, kWatchdogMargin,
+                WorkerPoolOptions().watchdogGraceMs);
+    for (const CampaignProgram &p : campaign.programs)
+        std::printf("  %-8s budget %11llu cycles, watchdog %7.2f s\n",
+                    p.name.c_str(),
+                    static_cast<unsigned long long>(p.maxCycles),
+                    kWatchdogMargin * static_cast<double>(p.maxCycles) *
+                        r.goldenSecondsPerCycle);
+    std::printf("\n");
     std::printf("%s\n", r.renderMatrix().c_str());
     std::printf("per cell: %zu programs x %d trials = %d faults; "
                 "det = detected, hw-traps/sw-checks split the detected "
@@ -379,9 +405,10 @@ main(int argc, char **argv)
 
     // The sandbox contained the injected chaos: two worker SIGSEGVs and
     // one hang (killed by the watchdog), all retried clean — and the
-    // campaign parent never noticed beyond the stats.
+    // campaign parent never noticed beyond the stats. The counts are
+    // exact: a watchdog derived from the budget kills no innocent trial.
     if (sandbox && !resume && total - r.journaled > 707) {
-        check(r.sandbox.deaths >= 3 && r.sandbox.watchdogKills >= 1,
+        check(r.sandbox.deaths == 3 && r.sandbox.watchdogKills == 1,
               strcat("sandbox contained the injected chaos (",
                      r.sandbox.deaths, " child deaths, ",
                      r.sandbox.watchdogKills, " watchdog kills, ",
@@ -392,9 +419,10 @@ main(int argc, char **argv)
     }
 
     // Durability: truncate the journal to half its trial lines and
-    // resume — the matrix must come back byte-identical. The resume
-    // runs in-process, so when the main pass was sandboxed this is
-    // also a sandbox-vs-in-process differential over half the matrix.
+    // resume — the matrix and the journal must come back byte-identical.
+    // The resume runs in-process, so when the main pass was sandboxed
+    // this is also a sandbox-vs-in-process differential over half the
+    // trials.
     {
         std::ifstream in(journalPath);
         std::vector<std::string> lines;
@@ -413,9 +441,10 @@ main(int argc, char **argv)
         check(resumed.journaled == (lines.size() - 1) / 2,
               strcat("resume restored the journaled half (",
                      resumed.journaled, " trials)"));
-        check(resumed.renderMatrix() == r.renderMatrix(),
+        check(resumed.renderMatrix() == r.renderMatrix() &&
+                  readFile(halfPath) == readFile(journalPath),
               "half-journal resume converges to a byte-identical "
-              "coverage matrix");
+              "coverage matrix and journal");
         std::remove(halfPath.c_str());
     }
 

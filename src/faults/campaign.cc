@@ -59,8 +59,7 @@ trialIndex(const Campaign &c, size_t p, size_t cfg, size_t k, size_t t)
            t;
 }
 
-/** The journal's identity line: the campaign's structure, not its
- *  tuning (deadlines may legitimately change between resumes). */
+/** The journal's identity line: the campaign's structure. */
 Json
 campaignHeader(const Campaign &c)
 {
@@ -321,24 +320,39 @@ runCampaign(Engine &engine, const Campaign &campaign,
     const size_t nTrials =
         nProg * nCfg * nCls * static_cast<size_t>(campaign.trials);
 
+    // One (program, config) cell's request: goldens and trials share it.
+    auto cellRequest = [&](size_t p, size_t c) {
+        const CampaignProgram &prog = campaign.programs[p];
+        RunRequest req;
+        req.source = prog.source;
+        req.opts = campaign.configs[c].opts;
+        if (prog.heapBytes)
+            req.opts.heapBytes = prog.heapBytes;
+        req.exec.maxCycles = prog.maxCycles;
+        req.exec.backend = campaign.backend;
+        req.label = strcat(prog.name, "/", campaign.configs[c].label);
+        return req;
+    };
+
     // ---- goldens: one reference run per (program, config) ----
     std::vector<RunRequest> goldenReqs;
     goldenReqs.reserve(nProg * nCfg);
     for (size_t p = 0; p < nProg; ++p)
         for (size_t c = 0; c < nCfg; ++c) {
-            RunRequest req;
-            req.source = campaign.programs[p].source;
-            req.opts = campaign.configs[c].opts;
-            if (campaign.programs[p].heapBytes)
-                req.opts.heapBytes = campaign.programs[p].heapBytes;
-            req.exec.maxCycles = campaign.programs[p].maxCycles;
-            req.exec.deadlineSeconds = campaign.deadlineSeconds;
-            req.exec.backend = campaign.backend;
-            req.label = strcat("golden/", campaign.programs[p].name, "/",
-                               campaign.configs[c].label);
-            goldenReqs.push_back(std::move(req));
+            goldenReqs.push_back(cellRequest(p, c));
+            goldenReqs.back().label.insert(0, "golden/");
         }
+    // Their seconds per cycle scale the sandboxed trials' watchdogs;
+    // run_micros leaves out compile, translation and image time.
+    Counter &runMicros = engine.metrics().counter("engine.run_micros");
+    const uint64_t micros0 = runMicros.value();
     std::vector<RunReport> goldens = engine.runGrid(goldenReqs);
+    uint64_t goldenCycles = 0;
+    for (const RunReport &g : goldens)
+        goldenCycles += g.result.stats.total;
+    const double secondsPerCycle =
+        1e-6 * static_cast<double>(runMicros.value() - micros0) /
+        static_cast<double>(std::max<uint64_t>(goldenCycles, 1));
 
     // ---- every trial record, deterministic order ----
     std::vector<TrialRecord> records;
@@ -363,21 +377,22 @@ runCampaign(Engine &engine, const Campaign &campaign,
 
     // ---- journal: load already-classified trials, open for append ----
     const std::string headerLine = campaignHeader(campaign).dump();
-    std::vector<char> done(nTrials, 0);
+    // A trial is pending, classified by this run, or restored from the
+    // journal; every trial before emitTrial's cursor is in the journal.
+    enum : char { kPending, kClassified, kJournaled };
+    std::vector<char> state(nTrials, kPending);
     size_t journaled = 0;
     bool journalHasHeader = false;
     if (!options.journalPath.empty() && options.resume) {
         std::ifstream in(options.journalPath);
         std::string line;
-        bool first = true;
         while (in && std::getline(in, line)) {
             if (line.empty())
                 continue;
             Json j;
             if (!Json::parse(line, &j) || !j.isObject())
                 fatal("malformed campaign journal line: ", line);
-            if (first) {
-                first = false;
+            if (!journalHasHeader) {
                 journalHasHeader = true;
                 if (j.dump() != headerLine) {
                     // Backend-only mismatch gets a targeted message:
@@ -417,12 +432,12 @@ runCampaign(Engine &engine, const Campaign &campaign,
                                     static_cast<size_t>(c),
                                     static_cast<size_t>(k),
                                     static_cast<size_t>(t));
-            if (done[idx])
+            if (state[idx] == kJournaled)
                 continue; // duplicate line (e.g. crash between flushes)
             if (!parseTrialFields(j, line, &records[idx]))
                 fatal("campaign journal line with unknown outcome: ",
                       line);
-            done[idx] = 1;
+            state[idx] = kJournaled;
             ++journaled;
         }
     }
@@ -447,22 +462,31 @@ runCampaign(Engine &engine, const Campaign &campaign,
     if (journaled > 0)
         engine.metrics().counter("faults.trials.resumed").inc(journaled);
 
+    // Lines go out in trial order: the cursor writes each classified
+    // trial once every earlier one is in the journal, and passes over
+    // restored lines without rewriting them.
     std::mutex journalMu;
-    auto emitTrial = [&](const TrialRecord &rec) {
+    size_t cursor = 0;
+    auto emitTrial = [&](size_t idx) {
+        const TrialRecord &rec = records[idx];
         outcomeCounters[static_cast<int>(rec.outcome)]->inc();
         if (TraceRecorder *tr = engine.trace())
             tr->instant("trial", "faults", Engine::currentWorkerId(),
                         outcomeName(rec.outcome));
         std::lock_guard<std::mutex> lk(journalMu);
-        if (journal.is_open())
-            journal << trialLine(rec).dump() << "\n" << std::flush;
+        state[idx] = kClassified;
+        // Each line is flushed on its own, so a kill leaves whole lines.
+        for (; cursor < nTrials && state[cursor] != kPending; ++cursor)
+            if (state[cursor] == kClassified && journal.is_open())
+                journal << trialLine(records[cursor]).dump() << "\n"
+                        << std::flush;
         if (options.onTrial)
             options.onTrial(rec);
     };
 
     // ---- skip-and-classify trials whose golden failed ----
     for (size_t idx = 0; idx < nTrials; ++idx) {
-        if (done[idx])
+        if (state[idx] != kPending)
             continue;
         TrialRecord &rec = records[idx];
         if (goldens[static_cast<size_t>(rec.program) * nCfg +
@@ -471,15 +495,14 @@ runCampaign(Engine &engine, const Campaign &campaign,
             continue;
         rec.outcome = Outcome::Skipped;
         rec.channel = DetectChannel::None;
-        done[idx] = 1;
-        emitTrial(rec);
+        emitTrial(idx);
     }
 
     // ---- pending faulted trials, one grid batch ----
     std::vector<RunRequest> reqs;
     std::vector<size_t> reqRecord; ///< request index -> record index
     for (size_t idx = 0; idx < nTrials; ++idx) {
-        if (done[idx])
+        if (state[idx] != kPending)
             continue;
         const TrialRecord &rec = records[idx];
         size_t p = static_cast<size_t>(rec.program);
@@ -491,47 +514,26 @@ runCampaign(Engine &engine, const Campaign &campaign,
         spec.seed = rec.faultSeed;
         spec.pauseCycle = rec.pauseCycle;
 
-        RunRequest req;
-        req.source = campaign.programs[p].source;
-        req.opts = campaign.configs[c].opts;
-        if (campaign.programs[p].heapBytes)
-            req.opts.heapBytes = campaign.programs[p].heapBytes;
-        req.exec.maxCycles = campaign.programs[p].maxCycles;
-        req.exec.deadlineSeconds = campaign.deadlineSeconds;
-        req.exec.backend = campaign.backend;
-        req.label = strcat(campaign.programs[p].name, "/",
-                           campaign.configs[c].label, "/",
-                           spec.describe(), "/t", rec.trial);
+        RunRequest req = cellRequest(p, c);
+        req.label += strcat("/", spec.describe(), "/t", rec.trial);
         armFault(req, spec);
 
         reqs.push_back(std::move(req));
         reqRecord.push_back(idx);
     }
 
-    // Classify one finished trial into its record: timeout retries
-    // first (a loaded host must not turn scheduling jitter into
-    // coverage noise), then outcome classification against the golden.
+    // Classify one finished trial into its record against its golden.
     // Shared verbatim by the in-process grid path and the sandbox
     // workers, so the two paths cannot diverge semantically.
-    auto classifyTrial = [&](const RunRequest &req,
-                             const RunReport &finished, TrialRecord &rec) {
-        const RunReport *rep = &finished;
-        RunReport retried;
-        for (int r = options.timeoutRetries;
-             r > 0 && rep->status.code == RunStatus::Code::Timeout; --r) {
-            // Inline re-run (engine.run() is safe from workers and from
-            // forked children; only nested grids are refused).
-            retried = engine.run(req);
-            rep = &retried;
-        }
+    auto classifyTrial = [&](const RunReport &rep, TrialRecord &rec) {
         const RunReport &golden =
             goldens[static_cast<size_t>(rec.program) * nCfg +
                     static_cast<size_t>(rec.config)];
-        rec.outcome = classifyOutcome(*rep, golden, &rec.channel);
-        rec.errorCode = rep->result.errorCode;
-        rec.faultIndex = rep->result.faultIndex;
-        rec.cycles = rep->result.stats.total;
-        rec.backend = rep->backend;
+        rec.outcome = classifyOutcome(rep, golden, &rec.channel);
+        rec.errorCode = rep.result.errorCode;
+        rec.faultIndex = rep.result.faultIndex;
+        rec.cycles = rep.result.stats.total;
+        rec.backend = rep.backend;
     };
 
     // Request ordinals not yet classified.
@@ -551,13 +553,6 @@ runCampaign(Engine &engine, const Campaign &campaign,
                          ? so.procs
                          : static_cast<int>(std::max(
                                1u, std::thread::hardware_concurrency()));
-        po.backoffBaseMs = so.backoffBaseMs;
-        po.backoffCapMs = so.backoffCapMs;
-        // The watchdog is the trial's whole budget; a disabled one is a
-        // week, longer than any campaign.
-        po.defaultTaskSeconds =
-            so.watchdogSeconds > 0 ? so.watchdogSeconds : 7 * 86400.0;
-        po.watchdogGraceMs = 0;
         po.childInit = [&engine](int) { engine.postFork(); };
         po.runCell = [&](const Json &task, double, const std::string &) {
             // WORKER: run + classify into a scratch copy, serialize.
@@ -566,7 +561,7 @@ runCampaign(Engine &engine, const Campaign &campaign,
             if (so.childFaultHook)
                 so.childFaultHook(i, attempt);
             TrialRecord rec = records[reqRecord[i]];
-            classifyTrial(reqs[i], engine.run(reqs[i]), rec);
+            classifyTrial(engine.run(reqs[i]), rec);
             return trialLine(rec).dump();
         };
         auto onDone = [&](uint64_t i, const std::string &payload) {
@@ -575,7 +570,7 @@ runCampaign(Engine &engine, const Campaign &campaign,
             if (!Json::parse(payload, &j) || !j.isObject() ||
                 !parseTrialFields(j, payload, &rec))
                 fatal("malformed sandbox trial payload: ", payload);
-            emitTrial(rec);
+            emitTrial(reqRecord[i]);
         };
         auto onDeath = [&](uint64_t i, bool hang, int termSignal) {
             if (++attempts[i] < so.maxAttempts) {
@@ -584,9 +579,9 @@ runCampaign(Engine &engine, const Campaign &campaign,
                 return;
             }
             // The trial killed its worker maxAttempts times; classify
-            // from the death itself. Our hang-kill is a deadline by
-            // another name; a fatal signal is the simulator losing
-            // control — exactly CrashIllegalAccess's meaning.
+            // from the death itself. Our hang-kill means the trial
+            // outran its cycle budget's watchdog; a fatal signal is the
+            // simulator losing control — CrashIllegalAccess's meaning.
             TrialRecord &rec = records[reqRecord[i]];
             if (hang) {
                 rec.outcome = Outcome::CycleLimit;
@@ -601,7 +596,7 @@ runCampaign(Engine &engine, const Campaign &campaign,
                               ? Backend::Interpreter
                               : Backend::Auto;
             ++sandboxStats.abandoned;
-            emitTrial(rec);
+            emitTrial(reqRecord[i]);
         };
         WorkerPool pool(std::move(po), onDone, onDeath);
         pool.start();
@@ -609,13 +604,16 @@ runCampaign(Engine &engine, const Campaign &campaign,
         // requeue; every dispatch happens here.
         while (pool.busyWorkers() > 0 ||
                (!pending.empty() && !pool.degraded())) {
-            while (!pending.empty() &&
-                   pool.dispatch(pending.front(),
-                                 strcat("{\"i\":", pending.front(),
-                                        ",\"a\":",
-                                        attempts[pending.front()], "}"),
-                                 0))
+            while (!pending.empty()) {
+                size_t i = pending.front();
+                double watchdog = kWatchdogMargin * secondsPerCycle *
+                                  static_cast<double>(reqs[i].exec.maxCycles);
+                if (!pool.dispatch(
+                        i, strcat("{\"i\":", i, ",\"a\":", attempts[i], "}"),
+                        watchdog))
+                    break;
                 pending.pop_front();
+            }
             pool.pollOnce(200);
         }
         // Every worker is idle (or the breaker is open): they exit on
@@ -630,19 +628,15 @@ runCampaign(Engine &engine, const Campaign &campaign,
 
     // ---- in-process path: one grid batch ----
     // Every trial without the sandbox; after fork exhaustion, the ones
-    // the workers did not finish. Classification happens in the
-    // per-cell completion callback so the journal always reflects
-    // exactly the finished trials: a campaign killed mid-grid resumes
-    // from the last flushed line.
-    std::vector<size_t> rest(pending.begin(), pending.end());
+    // the workers did not finish. Trials classify in the per-cell
+    // completion callback, so a campaign killed mid-grid resumes from
+    // the last flushed line.
     std::vector<RunRequest> restReqs;
-    restReqs.reserve(rest.size());
-    for (size_t i : rest)
+    for (size_t i : pending)
         restReqs.push_back(std::move(reqs[i]));
     engine.runGrid(restReqs, [&](size_t j, const RunReport &finished) {
-        TrialRecord &rec = records[reqRecord[rest[j]]];
-        classifyTrial(restReqs[j], finished, rec);
-        emitTrial(rec);
+        classifyTrial(finished, records[reqRecord[pending[j]]]);
+        emitTrial(reqRecord[pending[j]]);
     });
 
     // ---- aggregate ----
@@ -668,6 +662,7 @@ runCampaign(Engine &engine, const Campaign &campaign,
     result.trials = std::move(records);
     result.goldens = std::move(goldens);
     result.journaled = journaled;
+    result.goldenSecondsPerCycle = secondsPerCycle;
     result.sandbox = sandboxStats;
     return result;
 }

@@ -18,7 +18,7 @@
  *   CrashIllegalAccess the run went wild (load/store outside the image,
  *                      division by zero, or a simulator-internal error);
  *   CycleLimit         the run neither halted nor erred within its
- *                      cycle budget or wall-clock deadline;
+ *                      cycle budget (CampaignProgram::maxCycles);
  *   Masked             the run halted with output identical to the
  *                      golden — the fault was absorbed;
  *   Skipped            the (program, configuration) pair's golden run
@@ -34,12 +34,16 @@
  * configuration's golden run length; the site-selection seed is still
  * configuration-independent.)
  *
+ * The cycle budget is a trial's only budget: outcomes depend on the
+ * seed, not on host speed (see kWatchdogMargin for the sandbox).
+ *
  * Campaigns are durable: give CampaignRunOptions a journalPath and
- * every trial is appended to a JSONL journal the moment it classifies
- * (header line = campaign identity, then one flat object per trial).
- * A killed campaign restarted with resume=true (or resumeCampaign())
- * loads the journal, skips every already-journaled trial, and runs
- * only the remainder — converging on the same coverage matrix as an
+ * every trial is appended to a JSONL journal in trial order (header
+ * line = campaign identity, then one flat object per trial), so one
+ * seed writes one journal byte for byte. A killed campaign restarted
+ * with resume=true (or resumeCampaign()) loads the journal, skips
+ * every already-journaled trial, and runs only the remainder —
+ * converging on the same coverage matrix and the same journal as an
  * uninterrupted run.
  */
 
@@ -106,9 +110,8 @@ struct Campaign
     std::vector<CampaignProgram> programs;
     std::vector<CampaignConfigEntry> configs;
     std::vector<FaultClass> classes;
-    int trials = 20;           ///< faulted trials per (prog, config, class)
-    uint64_t seed = 1;         ///< root of every per-trial fault seed
-    double deadlineSeconds = 0; ///< per-trial wall-clock guard (0 = none)
+    int trials = 20;   ///< faulted trials per (prog, config, class)
+    uint64_t seed = 1; ///< root of every per-trial fault seed
 
     /**
      * Execution tier every golden and faulted trial requests
@@ -159,9 +162,24 @@ struct CampaignCell
 };
 
 /**
+ * A sandboxed trial's watchdog is kWatchdogMargin × its maxCycles ×
+ * CampaignResult::goldenSecondsPerCycle, plus the pool's fixed grace
+ * for the work outside the run. Workers fork from the process that
+ * timed the goldens, so a sanitizer's or a loaded host's slowdown
+ * scales both sides. What the rate misses is the tier gap: goldens
+ * mostly run translated (1.4–2.5 ns per cycle), while pause, call-arg
+ * and memtag trials run on the interpreter (12–21 ns), up to 10.4× one
+ * cell's translated rate (bench_faults' ladder, best of 3, 4-vCPU
+ * Xeon). 40 is that ~10× gap times 4× load headroom; once every trial
+ * runs translated, the tier factor can go.
+ */
+inline constexpr double kWatchdogMargin = 40;
+
+/**
  * Process isolation for a campaign's faulted trials
  * (CampaignRunOptions::sandbox): trials run on persistent forked
- * workers (support/procpool.h), one trial in flight per worker.
+ * workers (support/procpool.h), one trial in flight per worker, each
+ * under a watchdog derived from its cycle budget (kWatchdogMargin).
  */
 struct SandboxOptions
 {
@@ -173,17 +191,6 @@ struct SandboxOptions
     /** Worker deaths one trial may cause before it is abandoned and
      *  classified from the last death's evidence. */
     int maxAttempts = 3;
-
-    /** A worker running one trial for this long is killed (presumed
-     *  hung). 0 disables the watchdog. Size it above the campaign's
-     *  own per-trial deadline so legitimate slow trials survive. */
-    double watchdogSeconds = 0;
-
-    /** Respawn backoff after a worker death: base * 2^(n-1) ms,
-     *  capped, for a slot's n-th consecutive death. Only the dead slot
-     *  waits; the others keep running trials. */
-    int backoffBaseMs = 50;
-    int backoffCapMs = 2000;
 
     /**
      * Test chaos seam, invoked IN THE WORKER before each trial runs
@@ -224,6 +231,9 @@ struct CampaignResult
 
     /** Trials restored from the resume journal instead of re-run. */
     size_t journaled = 0;
+
+    /** engine.run_micros over the golden grid / the goldens' cycles. */
+    double goldenSecondsPerCycle = 0;
 
     /** What the sandbox observed (zeroed when trials ran in-process). */
     SandboxStats sandbox;
@@ -266,10 +276,11 @@ Outcome classifyOutcome(const RunReport &faulted, const RunReport &golden,
 struct CampaignRunOptions
 {
     /**
-     * JSONL trial journal, appended as trials classify (first line is
-     * the campaign identity). Empty disables journaling. The write is
-     * flushed per trial, so a killed campaign loses at most the trials
-     * still in flight.
+     * JSONL trial journal (first line is the campaign identity), one
+     * line per trial in trial order: a classified trial is written
+     * once every earlier trial has been. Empty disables journaling.
+     * Each line is flushed on its own, so a killed campaign loses the
+     * trials from the earliest one still in flight onward.
      */
     std::string journalPath;
 
@@ -281,14 +292,6 @@ struct CampaignRunOptions
      * as a fresh start.
      */
     bool resume = false;
-
-    /**
-     * Re-run a trial whose wall-clock deadline expired this many times
-     * before classifying it CycleLimit — a loaded host must not turn
-     * scheduling jitter into coverage noise. Retries run inline on the
-     * worker that observed the timeout.
-     */
-    int timeoutRetries = 1;
 
     /**
      * Invoked once per classified trial, on the worker thread that ran
@@ -321,8 +324,9 @@ struct CampaignRunOptions
  * configuration) pair whose golden fails has its trials classified
  * Skipped — one broken cell cannot abort the campaign), then every
  * pending faulted trial in one Engine::runGrid batch. Deterministic:
- * same campaign, same coverage matrix, regardless of thread count,
- * journaling, or how many times the campaign was killed and resumed.
+ * same campaign, same coverage matrix and journal, regardless of
+ * thread count, sandboxing, host speed, or how many times the
+ * campaign was killed and resumed.
  */
 CampaignResult runCampaign(Engine &engine, const Campaign &campaign,
                            const CampaignRunOptions &options);

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <span>
 #include <sstream>
 
@@ -309,7 +310,6 @@ smallCampaign()
                  FaultClass::CallArgType};
     c.trials = 10;
     c.seed = 2026;
-    c.deadlineSeconds = 10;
     return c;
 }
 
@@ -537,6 +537,13 @@ readLines(const std::string &path)
     return lines;
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 } // namespace
 
 TEST(Campaign, JournalRecordsHeaderAndEveryTrial)
@@ -575,6 +582,7 @@ TEST(Campaign, ResumeFromTruncatedJournalConvergesToSameMatrix)
     CampaignRunOptions options;
     options.journalPath = path;
     CampaignResult full = runCampaign(eng, c, options);
+    const std::string uninterrupted = readFile(path);
 
     // Simulate a kill: keep the header plus the first half of the
     // trial lines, then resume from the truncated journal.
@@ -595,9 +603,10 @@ TEST(Campaign, ResumeFromTruncatedJournalConvergesToSameMatrix)
         EXPECT_EQ(resumed.trials[i].outcome, full.trials[i].outcome) << i;
         EXPECT_EQ(resumed.trials[i].channel, full.trials[i].channel) << i;
     }
-    // The resumed run re-journals the remainder: the journal now covers
-    // the full campaign again.
+    // The resumed run re-journals the remainder in trial order: the
+    // journal is the uninterrupted one again, byte for byte.
     EXPECT_EQ(readLines(path).size(), 1 + full.trials.size());
+    EXPECT_EQ(readFile(path), uninterrupted);
 
     // Resuming a complete journal runs nothing at all.
     Engine eng3(1);

@@ -9,8 +9,8 @@
  * the resume journal. The pool itself must survive writing to a
  * worker that died idle without any SIGPIPE handling from its host.
  * The suite forks real workers, so it carries its own ctest label
- * (`sandbox`) and should also be run under -DMXL_SANITIZE=address to
- * check the parent's channel and frame bookkeeping.
+ * (`sandbox`) and should also be run under -DMXL_SANITIZE=address (the
+ * parent's channel and frame bookkeeping) and =thread.
  */
 
 #include <chrono>
@@ -30,6 +30,7 @@
 #include "support/procpool.h"
 
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,7 @@ smallCampaign()
         "(de rev (l acc) (if (null l) acc (rev (cdr l) (cons (car l) acc))))"
         "(de iota (n) (if (eq n 0) (quote ()) (cons n (iota (- n 1)))))"
         "(print (rev (iota 30) (quote ())))";
+    rev.maxCycles = 2'000'000; // bench_faults' budget floor
     c.programs.push_back(rev);
     c.configs = {{"unchecked", lowTagSoftwareOptions(Checking::Off)},
                  {"checked", lowTagSoftwareOptions(Checking::Full)}};
@@ -56,7 +58,6 @@ smallCampaign()
                  FaultClass::StackTagCorrupt};
     c.trials = 8;
     c.seed = 2026;
-    c.deadlineSeconds = 10;
     return c;
 }
 
@@ -74,15 +75,19 @@ matrixKey(const CampaignResult &r)
     return s;
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
 CampaignRunOptions
 sandboxOptions()
 {
     CampaignRunOptions o;
     o.sandbox.enabled = true;
     o.sandbox.procs = 2;
-    o.sandbox.watchdogSeconds = 20;
-    o.sandbox.backoffBaseMs = 10; // keep retry tests fast
-    o.sandbox.backoffCapMs = 50;
     return o;
 }
 
@@ -96,12 +101,19 @@ TEST(Sandbox, SupportedOnThisPlatform)
 
 TEST(Sandbox, CampaignMatrixMatchesInProcess)
 {
+    const std::string inprocPath = testing::TempDir() + "sandbox_inproc.jsonl";
+    const std::string sandboxPath =
+        testing::TempDir() + "sandbox_sandboxed.jsonl";
     Campaign c = smallCampaign();
     Engine e1(2);
-    CampaignResult inproc = runCampaign(e1, c);
+    CampaignRunOptions inprocOpts;
+    inprocOpts.journalPath = inprocPath;
+    CampaignResult inproc = runCampaign(e1, c, inprocOpts);
 
     Engine e2(2);
-    CampaignResult sandboxed = runCampaign(e2, c, sandboxOptions());
+    CampaignRunOptions sandboxOpts = sandboxOptions();
+    sandboxOpts.journalPath = sandboxPath;
+    CampaignResult sandboxed = runCampaign(e2, c, sandboxOpts);
 
     EXPECT_GT(sandboxed.sandbox.spawns, 1);
     EXPECT_EQ(sandboxed.sandbox.deaths, 0);
@@ -113,6 +125,10 @@ TEST(Sandbox, CampaignMatrixMatchesInProcess)
             << i;
         EXPECT_EQ(sandboxed.trials[i].cycles, inproc.trials[i].cycles) << i;
     }
+    // Both journals are in trial order, so they match byte for byte.
+    EXPECT_EQ(readFile(sandboxPath), readFile(inprocPath));
+    std::remove(inprocPath.c_str());
+    std::remove(sandboxPath.c_str());
 }
 
 TEST(Sandbox, ContainsChildCrashAndHangThenConverges)
@@ -126,7 +142,6 @@ TEST(Sandbox, ContainsChildCrashAndHangThenConverges)
     // parent must survive both deaths.
     Engine e2(2);
     CampaignRunOptions chaos = sandboxOptions();
-    chaos.sandbox.watchdogSeconds = 3;
     chaos.sandbox.childFaultHook = [](size_t ordinal, int attempt) {
         if (attempt > 0)
             return;
@@ -138,11 +153,9 @@ TEST(Sandbox, ContainsChildCrashAndHangThenConverges)
     };
     CampaignResult r = runCampaign(e2, c, chaos);
 
-    EXPECT_GE(r.sandbox.deaths, 2); // the SEGV and the hang-kill
-    // >=, not ==: under a sanitizer's slowdown innocent trials can
-    // trip the short watchdog too; retries absorb those.
-    EXPECT_GE(r.sandbox.watchdogKills, 1);
-    EXPECT_GT(r.sandbox.requeues, 0);
+    EXPECT_EQ(r.sandbox.deaths, 2); // the SEGV and the hang-kill
+    EXPECT_EQ(r.sandbox.watchdogKills, 1);
+    EXPECT_EQ(r.sandbox.requeues, 2);
     EXPECT_EQ(r.sandbox.abandoned, 0);
     EXPECT_FALSE(r.sandbox.degraded);
     EXPECT_EQ(matrixKey(r), matrixKey(inproc));
@@ -224,7 +237,6 @@ TEST(Sandbox, HangExhaustsRetriesThenClassifiesCycleLimit)
     Engine eng(2);
     CampaignRunOptions opts = sandboxOptions();
     opts.sandbox.maxAttempts = 2;
-    opts.sandbox.watchdogSeconds = 2;
     opts.sandbox.childFaultHook = [](size_t ordinal, int) {
         if (ordinal == 1)
             for (;;)
