@@ -679,7 +679,7 @@ hoistInvariantChecks(CompiledUnit &unit, PlaceStats &st)
         if (cand.contradicted)
             continue;
         const NaturalLoop &loop = loops.loops[cand.loop];
-        Reg rT, rU;
+        Reg rT = 0, rU = 0;
         if (!eng.pickTemps(loop, cand.errTarget, rT, rU))
             continue;
         const int hFirst = cfg.blocks[loop.header].first;

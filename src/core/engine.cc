@@ -339,34 +339,25 @@ Engine::execute(const RunRequest &req)
                                           : "engine/interpreter";
             auto tRun = std::chrono::steady_clock::now();
             uint64_t trR0 = tr ? tr->nowMicros() : 0;
-            if (useTrans) {
-                TranslatedControls controls;
-                controls.maxCycles = req.exec.maxCycles;
-                controls.deadlineSeconds = req.exec.deadlineSeconds;
-                controls.installTrapHandlers = req.exec.installTrapHandlers;
-                controls.collectProfile = req.hooks.collectProfile;
-                rep.result = runTranslated(*unit, *trans.unit,
-                                           std::move(image), controls);
-            } else {
-                RunControls controls;
-                controls.maxCycles = req.exec.maxCycles;
-                controls.deadlineSeconds = req.exec.deadlineSeconds;
-                controls.installUnitTrapHandlers =
-                    req.exec.installTrapHandlers;
-                controls.machineSetup = req.hooks.machineSetup;
-                controls.pauseAtCycle = req.hooks.pauseAtCycle;
-                controls.pauseHook = req.hooks.pauseHook;
-                controls.collectProfile = req.hooks.collectProfile;
-                if (tr && req.hooks.pauseHook) {
-                    // Mark the pauseAtCycle pause on this worker's track.
-                    controls.pauseHook = [&](auto memory, auto regs,
-                                             const CompiledUnit &u) {
-                        tr->instant("pause", "engine", tid, req.label);
-                        req.hooks.pauseHook(memory, regs, u);
-                    };
-                }
-                rep.result = runUnitOn(*unit, std::move(image), controls);
+            RunControls controls;
+            controls.maxCycles = req.exec.maxCycles;
+            controls.deadlineSeconds = req.exec.deadlineSeconds;
+            controls.installTrapHandlers = req.exec.installTrapHandlers;
+            controls.pauseAtCycle = req.hooks.pauseAtCycle;
+            controls.pauseHook = req.hooks.pauseHook;
+            controls.collectProfile = req.hooks.collectProfile;
+            if (tr && req.hooks.pauseHook) {
+                // Mark the pauseAtCycle pause on this worker's track.
+                controls.pauseHook = [&](auto memory, auto regs,
+                                         const CompiledUnit &u) {
+                    tr->instant("pause", "engine", tid, req.label);
+                    req.hooks.pauseHook(memory, regs, u);
+                };
             }
+            rep.result = useTrans ? runTranslated(*unit, *trans.unit,
+                                                  std::move(image), controls)
+                                  : runUnitOn(*unit, std::move(image),
+                                              controls);
             mRunMicros_.inc(microsSince(tRun));
             if (tr)
                 tr->complete("run", runCat, tid, trR0,

@@ -125,8 +125,10 @@ struct ExecPolicy
 
     /**
      * Install the unit's compiled software fallback trap handlers
-     * (rt_arithtrap / rt_tagtrap). Campaigns set this false to measure
-     * the bare unhandled-trap semantics (machine/machine.h).
+     * (rt_arithtrap / rt_tagtrap); both backends get it as
+     * RunControls::installTrapHandlers. False measures the bare
+     * unhandled-trap semantics (machine/machine.h); wire cells can ask
+     * for it (serve/wire.h).
      */
     bool installTrapHandlers = true;
 };
@@ -134,10 +136,10 @@ struct ExecPolicy
 /**
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
- * only in hooks share a compilation. machineSetup and the pause need
- * the interpreter's seams, so setting one makes an `Auto` request fall
- * back (see needsInterpreter()); imageMutator, unitTransform and
- * collectProfile work on either backend.
+ * only in hooks share a compilation. The pause is the one seam into a
+ * live run and needs the interpreter, so arming it makes an `Auto`
+ * request fall back (see needsInterpreter()); imageMutator,
+ * unitTransform and collectProfile work on either backend.
  */
 struct Hooks
 {
@@ -150,18 +152,14 @@ struct Hooks
      */
     std::function<void(Memory &, const CompiledUnit &)> imageMutator;
 
-    /** Forwarded to RunControls::machineSetup (register/hook faults).
-     *  Interpreter-only: the hook touches a live Machine. */
-    std::function<void(Machine &, const CompiledUnit &)> machineSetup;
-
     /**
      * Pause the run once its cycle count first exceeds this value, call
      * @p pauseHook on the live memory image and registers, and continue
      * the same run. 0, or a missing hook, disables the pause. This is
-     * the heap- and stack-resident fault seam (src/faults/): unlike
-     * imageMutator, the hook sees state the program built at run time,
-     * not the pristine image. Interpreter-only. See
-     * RunControls::pauseAtCycle.
+     * the seam of the live-run fault classes (src/faults/: call
+     * arguments, heap and stack): unlike imageMutator, the hook sees
+     * state the program built at run time, not the pristine image.
+     * Interpreter-only. See RunControls::pauseAtCycle.
      */
     uint64_t pauseAtCycle = 0;
 
@@ -211,11 +209,10 @@ struct Hooks
      */
     bool verifyTransformed = true;
 
-    /** True when any hook set here requires the interpreter's seams. */
+    /** True when the pause is armed: only the interpreter has it. */
     bool needsInterpreter() const
     {
-        return static_cast<bool>(machineSetup) ||
-               (pauseAtCycle > 0 && static_cast<bool>(pauseHook));
+        return pauseAtCycle > 0 && static_cast<bool>(pauseHook);
     }
 };
 

@@ -20,21 +20,23 @@ constexpr uint64_t kDeadlineChunkCycles = 1'000'000;
 
 } // namespace
 
+void
+installTrapHandlers(Machine &m, const CompiledUnit &unit)
+{
+    if (unit.opts.hw.genericArith && unit.arithTrap >= 0)
+        m.setTrapHandler(TrapKind::ArithFail, unit.arithTrap);
+    if (unit.opts.hw.checkedMemory != CheckedMem::None && unit.tagTrap >= 0)
+        m.setTrapHandler(TrapKind::TagMismatch, unit.tagTrap);
+}
+
 RunResult
 runUnitOn(const CompiledUnit &unit, Memory image,
           const RunControls &controls)
 {
     Machine m(unit.prog, std::move(image), unit.opts.hw,
               unit.scheme.get());
-    if (controls.installUnitTrapHandlers) {
-        if (unit.opts.hw.genericArith && unit.arithTrap >= 0)
-            m.setTrapHandler(TrapKind::ArithFail, unit.arithTrap);
-        if (unit.opts.hw.checkedMemory != CheckedMem::None &&
-            unit.tagTrap >= 0)
-            m.setTrapHandler(TrapKind::TagMismatch, unit.tagTrap);
-    }
-    if (controls.machineSetup)
-        controls.machineSetup(m, unit);
+    if (controls.installTrapHandlers)
+        installTrapHandlers(m, unit);
 
     std::shared_ptr<PcProfile> prof;
     if (controls.collectProfile) {
@@ -78,7 +80,9 @@ runUnitOn(const CompiledUnit &unit, Memory image,
         runTo(controls.pauseAtCycle);
         if (r.stop == StopReason::CycleLimit && !r.timedOut) {
             // Paused at the requested cycle: the hook edits the live run.
-            controls.pauseHook(m.memory().words(), m.regs(), unit);
+            std::span<uint32_t, 32> regs = m.regs();
+            controls.pauseHook(m.memory().words(), regs, unit);
+            regs[0] = 0; // r0 is hardwired
             r.paused = true;
         }
     }

@@ -62,16 +62,16 @@ struct RunResult
 /**
  * The pause seam: called on a run paused at RunControls::pauseAtCycle
  * with the live machine's whole memory image (word-indexed) and its
- * registers, both valid only during the call. Writes to @p memory are
- * what the rest of the run sees.
+ * registers, both valid only during the call. Writes to either are
+ * what the rest of the run sees; r0 still reads 0 afterwards.
  */
 using PauseHook = std::function<void(std::span<uint32_t> memory,
-                                     std::span<const uint32_t, 32> regs,
+                                     std::span<uint32_t, 32> regs,
                                      const CompiledUnit &)>;
 
 /**
- * Execution knobs beyond the cycle guard. The defaults reproduce the
- * historical runUnitOn(unit, image, maxCycles) behavior exactly.
+ * Execution knobs of both backends (runTranslated refuses an armed
+ * pause). The defaults reproduce runUnitOn(unit, image, maxCycles).
  */
 struct RunControls
 {
@@ -95,22 +95,15 @@ struct RunControls
      * run with the documented unhandled-trap error encoding
      * (machine/machine.h).
      */
-    bool installUnitTrapHandlers = true;
-
-    /**
-     * Called after machine construction (and handler installation),
-     * before execution — the seam fault-injection campaigns use to
-     * install trace hooks or perturb registers (src/faults/).
-     */
-    std::function<void(Machine &, const CompiledUnit &)> machineSetup;
+    bool installTrapHandlers = true;
 
     /**
      * Pause the run once its cycle count first exceeds this value
      * (0 = never), call @p pauseHook on the paused machine's memory and
      * registers, and continue the same machine to maxCycles
-     * (Machine::resume). This is the seam heap- and stack-resident fault
-     * injection rides (src/faults/): the hook sees the *live* state at
-     * cycle N, the run-time heap and stack included, not the pristine
+     * (Machine::resume). This is the seam the live-run fault classes
+     * ride (src/faults/): the hook sees the *live* state at cycle N,
+     * the run-time heap, stack and registers included, not the pristine
      * image. A run that stops before the pause point never calls the
      * hook. Without a hook the pause is skipped entirely; with one that
      * writes nothing, a completed run is cycle-identical to an unpaused
@@ -131,6 +124,10 @@ struct RunControls
      */
     bool collectProfile = false;
 };
+
+/** Install @p unit's software trap handlers on @p m for the trap kinds
+ *  its hardware enables (what RunControls::installTrapHandlers does). */
+void installTrapHandlers(Machine &m, const CompiledUnit &unit);
 
 /** Execute @p unit from its entry point (copies its pristine image). */
 RunResult runUnit(const CompiledUnit &unit,

@@ -347,7 +347,7 @@ static_assert(listsFollowTKind(), "handler lists must follow TKind order");
  */
 RunResult
 coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
-        const TranslatedControls &controls,
+        const RunControls &controls,
         const void *const **labelsOut)
 {
     if (labelsOut) {
@@ -761,7 +761,7 @@ labelTable()
         CompiledUnit dummyUnit;
         TranslatedUnit dummyTu;
         Memory dummyMem(0);
-        TranslatedControls dummyControls;
+        RunControls dummyControls;
         coreRun(dummyUnit, dummyTu, dummyMem, dummyControls, &t);
         return t;
     }();
@@ -782,8 +782,10 @@ texecLabelTable()
 
 RunResult
 runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
-              Memory image, const TranslatedControls &controls)
+              Memory image, const RunControls &controls)
 {
+    if (controls.pauseAtCycle > 0 && controls.pauseHook)
+        panic("the translated backend has no pause seam");
     return coreRun(unit, tu, image, controls, nullptr);
 }
 
@@ -797,7 +799,7 @@ texecLabelTable()
 
 RunResult
 runTranslated(const CompiledUnit &, const TranslatedUnit &, Memory,
-              const TranslatedControls &)
+              const RunControls &)
 {
     panic("translated backend requires computed-goto support");
 }

@@ -22,10 +22,10 @@
  * translateUnit() declines units it cannot prove equivalent (malformed
  * delay-slot structure per analysis::buildCfg, tag-hardware opcodes
  * without the matching HardwareConfig bit, trap-capable ops scheduled
- * into delay slots), and runTranslated() has neither the machineSetup
- * seam nor the pause. The Engine treats both as tier-fallback
- * conditions: with ExecPolicy::backend == Auto the run transparently
- * drops to the interpreter (core/engine.h).
+ * into delay slots), and runTranslated() refuses an armed pause
+ * (RunControls::pauseAtCycle with a pauseHook). The Engine treats both
+ * as tier-fallback conditions: with ExecPolicy::backend == Auto the run
+ * transparently drops to the interpreter (core/engine.h).
  */
 
 #ifndef MXLISP_EXEC_TEXEC_H_
@@ -122,8 +122,8 @@ struct TranslatedUnit
 
     // Trap handler indices, pre-gated exactly like runUnitOn(): set
     // only when the hardware feature is on and the unit compiled a
-    // handler. RunControls-equivalent installTrapHandlers gates them
-    // again at run time.
+    // handler. RunControls::installTrapHandlers gates them again at run
+    // time.
     int arithTrap = -1;
     int tagTrap = -1;
 
@@ -146,25 +146,14 @@ struct TranslateResult
  */
 TranslateResult translateUnit(const CompiledUnit &unit);
 
-/** The execution knobs the translated backend supports. */
-struct TranslatedControls
-{
-    uint64_t maxCycles = kDefaultMaxCycles;
-    /** Wall-clock budget; same chunked semantics as RunControls. */
-    double deadlineSeconds = 0;
-    /** Honor the unit's software trap handlers (RunControls). */
-    bool installTrapHandlers = true;
-    /** Fill RunResult::profile (RunControls::collectProfile). */
-    bool collectProfile = false;
-};
-
 /**
  * Execute @p tu (translated from @p unit) on @p image. Semantics and
  * RunResult contents are byte-identical to
- * runUnitOn(unit, image, controls) for the supported control set.
+ * runUnitOn(unit, image, controls). An armed pause has no seam here:
+ * it throws MxlError (Panic), and the Engine never sends one.
  */
 RunResult runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
-                        Memory image, const TranslatedControls &controls);
+                        Memory image, const RunControls &controls);
 
 } // namespace mxl
 

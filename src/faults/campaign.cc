@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -116,9 +117,10 @@ lineInt(const Json &j, const char *key, const std::string &line)
 }
 
 /**
- * Restore a TrialRecord's classification fields from its journal line
- * (the coordinate fields p/c/k/t/seed/pause are the caller's; they are
- * recomputed, not trusted). False on unknown outcome/channel names.
+ * Restore a TrialRecord's pause cycle and classification fields from
+ * its journal line (the coordinate fields p/c/k/t/seed are the
+ * caller's; they are recomputed, not trusted). False on unknown
+ * outcome/channel names.
  */
 bool
 parseTrialFields(const Json &j, const std::string &line, TrialRecord *rec)
@@ -130,6 +132,7 @@ parseTrialFields(const Json &j, const std::string &line, TrialRecord *rec)
         !channel->isString() ||
         !detectChannelFromName(channel->str(), &rec->channel))
         return false;
+    rec->pauseCycle = static_cast<uint64_t>(lineInt(j, "pause", line));
     rec->errorCode = lineInt(j, "error", line);
     rec->faultIndex = static_cast<int>(lineInt(j, "fault", line));
     rec->cycles = static_cast<uint64_t>(lineInt(j, "cyc", line));
@@ -368,10 +371,6 @@ runCampaign(Engine &engine, const Campaign &campaign,
                     rec.trial = t;
                     rec.faultSeed = trialSeed(campaign, static_cast<int>(p),
                                               static_cast<int>(k), t);
-                    const RunReport &g = goldens[p * nCfg + c];
-                    if (faultClassNeedsPause(campaign.classes[k]) && g.ok())
-                        rec.pauseCycle = heapPauseCycle(
-                            rec.faultSeed, g.result.stats.total);
                     records.push_back(rec);
                 }
 
@@ -499,24 +498,40 @@ runCampaign(Engine &engine, const Campaign &campaign,
     }
 
     // ---- pending faulted trials, one grid batch ----
+    // One call scan per (program, config), for its first pending
+    // call-arg trial.
+    std::map<size_t, std::vector<uint64_t>> callCycles;
     std::vector<RunRequest> reqs;
     std::vector<size_t> reqRecord; ///< request index -> record index
     for (size_t idx = 0; idx < nTrials; ++idx) {
         if (state[idx] != kPending)
             continue;
-        const TrialRecord &rec = records[idx];
+        TrialRecord &rec = records[idx];
         size_t p = static_cast<size_t>(rec.program);
         size_t c = static_cast<size_t>(rec.config);
         size_t k = static_cast<size_t>(rec.cls);
 
+        RunRequest req = cellRequest(p, c);
         FaultSpec spec;
         spec.cls = campaign.classes[k];
         spec.seed = rec.faultSeed;
+        if (spec.cls == FaultClass::CallArgType) {
+            auto [calls, fresh] = callCycles.try_emplace(p * nCfg + c);
+            if (fresh)
+                calls->second = scanCallCycles(
+                    *engine.compile(req.source, req.opts).unit,
+                    req.exec.maxCycles);
+            rec.pauseCycle = callArgPauseCycle(rec.faultSeed, calls->second);
+        } else if (faultClassNeedsPause(spec.cls)) {
+            rec.pauseCycle = heapPauseCycle(
+                rec.faultSeed, goldens[p * nCfg + c].result.stats.total);
+        }
         spec.pauseCycle = rec.pauseCycle;
-
-        RunRequest req = cellRequest(p, c);
         req.label += strcat("/", spec.describe(), "/t", rec.trial);
-        armFault(req, spec);
+        // A call-arg trial whose run makes too few calls has no pause
+        // cycle: it runs unarmed and classifies Masked.
+        if (!faultClassNeedsPause(spec.cls) || spec.pauseCycle > 0)
+            armFault(req, spec);
 
         reqs.push_back(std::move(req));
         reqRecord.push_back(idx);

@@ -30,9 +30,9 @@
  * and the trial's (program, class, trial) coordinates — deliberately
  * NOT from the configuration, so all configurations face the same fault
  * population and detection rates are directly comparable across rows.
- * (Heap-resident classes add a pause cycle scaled to each
- * configuration's golden run length; the site-selection seed is still
- * configuration-independent.)
+ * (Live-run classes add a pause cycle per configuration — a fraction
+ * of its golden run, or the seed's call from a call scan; the
+ * site-selection seed is still configuration-independent.)
  *
  * The cycle budget is a trial's only budget: outcomes depend on the
  * seed, not on host speed (see kWatchdogMargin for the sandbox).
@@ -131,7 +131,7 @@ struct TrialRecord
     int cls = 0;     ///< index into Campaign::classes
     int trial = 0;
     uint64_t faultSeed = 0;
-    uint64_t pauseCycle = 0; ///< heap classes: FaultSpec::pauseCycle
+    uint64_t pauseCycle = 0; ///< pause classes: FaultSpec::pauseCycle
     Outcome outcome = Outcome::Masked;
     DetectChannel channel = DetectChannel::None;
     int64_t errorCode = 0;  ///< RunResult::errorCode of the faulted run

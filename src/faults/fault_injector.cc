@@ -1,7 +1,6 @@
 #include "faults/fault_injector.h"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -11,15 +10,6 @@
 namespace mxl {
 
 namespace {
-
-/**
- * The CallArgType injector corrupts an argument at the N-th executed
- * call, with N drawn from [0, kCallWindow). A small window keeps the
- * fault early enough that most trials actually reach it (trials where
- * the program performs fewer calls are classified Masked — the fault
- * never fired, which is itself a data point).
- */
-constexpr uint64_t kCallWindow = 16;
 
 /**
  * Where a memory fault may land: words [lo, hi) of an image (the
@@ -140,36 +130,59 @@ flipBit(std::span<uint32_t> memory, const Region &r, uint64_t seed)
     memory[idx] ^= 1u << rng.below(32);
 }
 
+/**
+ * Substitute an ill-typed value (a pair pointer for a fixnum, else a
+ * fixnum) into an argument register. The seed's first draw picked the
+ * call (callArgPauseCycle); the next two pick the register and fixnum.
+ */
 void
-installCallArgFault(Machine &m, const CompiledUnit &unit, uint64_t seed)
+corruptCallArg(std::span<uint32_t, 32> regs, const CompiledUnit &unit,
+               uint64_t seed)
 {
     FaultRng rng(seed);
-    uint64_t targetCall = rng.below(kCallWindow);
-    Reg argReg = static_cast<Reg>(abi::arg0 + rng.below(2));
-    const TagScheme *s = unit.scheme.get();
-
-    // Precompute both replacement words: an ill-typed value is one whose
-    // type differs from what the register held when the call fired.
-    uint32_t align = s->alignment(TypeId::Pair);
+    rng.below(kCallWindow);
+    uint32_t &arg = regs[abi::arg0 + rng.below(2)];
+    const TagScheme &s = *unit.scheme;
+    uint32_t align = s.alignment(TypeId::Pair);
     uint32_t pairAddr = (unit.layout.heapABase + align - 1) & ~(align - 1);
-    uint32_t pairWord = s->encodePointer(TypeId::Pair, pairAddr);
     uint32_t fixWord =
-        s->encodeFixnum(static_cast<int64_t>(1 + rng.below(1000)));
-
-    auto calls = std::make_shared<uint64_t>(0);
-    Machine *mp = &m;
-    m.traceHook = [calls, targetCall, argReg, s, pairWord, fixWord,
-                   mp](int, const Instruction &inst) {
-        if (inst.op != Opcode::Jal && inst.op != Opcode::Jalr)
-            return;
-        if ((*calls)++ != targetCall)
-            return;
-        uint32_t cur = mp->reg(argReg);
-        mp->setReg(argReg, s->wordIsFixnum(cur) ? pairWord : fixWord);
-    };
+        s.encodeFixnum(static_cast<int64_t>(1 + rng.below(1000)));
+    arg = s.wordIsFixnum(arg) ? s.encodePointer(TypeId::Pair, pairAddr)
+                              : fixWord;
 }
 
 } // namespace
+
+std::vector<uint64_t>
+scanCallCycles(const CompiledUnit &unit, uint64_t maxCycles)
+{
+    Machine m(unit.prog, Memory(unit.layout.memBytes, unit.memory),
+              unit.opts.hw, unit.scheme.get());
+    installTrapHandlers(m, unit);
+    std::vector<uint64_t> cycles;
+    m.traceHook = [&](int, const Instruction &inst) {
+        if ((inst.op == Opcode::Jal || inst.op == Opcode::Jalr) &&
+            cycles.size() < kCallWindow)
+            cycles.push_back(m.stats().total);
+    };
+    // Short chunks: the window's calls come early in every run.
+    StopReason stop = m.run(unit.entry, std::min<uint64_t>(1024, maxCycles));
+    while (stop == StopReason::CycleLimit && cycles.size() < kCallWindow &&
+           m.stats().total <= maxCycles)
+        stop = m.resume(std::min(m.stats().total + 1024, maxCycles));
+    return cycles;
+}
+
+uint64_t
+callArgPauseCycle(uint64_t seed, std::span<const uint64_t> callCycles)
+{
+    uint64_t n = FaultRng(seed).below(kCallWindow);
+    if (n >= callCycles.size())
+        return 0;
+    // The pause stops before the first step that starts past it.
+    MXL_ASSERT(callCycles[n] > 1, "call ", n, " is too early to pause");
+    return callCycles[n] - 1;
+}
 
 const char *
 faultClassName(FaultClass cls)
@@ -210,7 +223,8 @@ faultClassIsStack(FaultClass cls)
 bool
 faultClassNeedsPause(FaultClass cls)
 {
-    return faultClassIsHeap(cls) || faultClassIsStack(cls);
+    return cls == FaultClass::CallArgType || faultClassIsHeap(cls) ||
+           faultClassIsStack(cls);
 }
 
 std::string
@@ -225,6 +239,11 @@ FaultSpec::describe() const
 void
 armFault(RunRequest &req, const FaultSpec &spec)
 {
+    if (faultClassNeedsPause(spec.cls)) {
+        MXL_ASSERT(spec.pauseCycle > 0,
+                   "live-run faults need FaultSpec::pauseCycle");
+        req.hooks.pauseAtCycle = spec.pauseCycle;
+    }
     switch (spec.cls) {
       case FaultClass::TagCorrupt:
         req.hooks.imageMutator = [seed = spec.seed](Memory &image,
@@ -240,21 +259,18 @@ armFault(RunRequest &req, const FaultSpec &spec)
         };
         break;
       case FaultClass::CallArgType:
-        req.hooks.machineSetup = [seed = spec.seed](Machine &m,
-                                              const CompiledUnit &unit) {
-            installCallArgFault(m, unit, seed);
+        req.hooks.pauseHook = [seed = spec.seed](std::span<uint32_t>,
+                                                 std::span<uint32_t, 32> regs,
+                                                 const CompiledUnit &unit) {
+            corruptCallArg(regs, unit, seed);
         };
         break;
       case FaultClass::HeapTagCorrupt:
       case FaultClass::HeapBitFlip:
       case FaultClass::StackTagCorrupt:
       case FaultClass::StackBitFlip:
-        MXL_ASSERT(spec.pauseCycle > 0,
-                   "heap- and stack-resident faults need "
-                   "FaultSpec::pauseCycle");
-        req.hooks.pauseAtCycle = spec.pauseCycle;
         req.hooks.pauseHook = [spec](std::span<uint32_t> memory,
-                                     std::span<const uint32_t, 32> regs,
+                                     std::span<uint32_t, 32> regs,
                                      const CompiledUnit &unit) {
             Region r = faultClassIsHeap(spec.cls)
                            ? liveHeap(memory, regs, unit)

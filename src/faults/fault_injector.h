@@ -15,7 +15,8 @@
  *    when the flip lands in (or perturbs) a tag;
  *  - CallArgType: substitute an ill-typed value into an argument
  *    register at the N-th executed call — the "wrong type reaches a
- *    procedure" model of §3's checking discussion.
+ *    procedure" model of §3's checking discussion. The run pauses just
+ *    before that call (scanCallCycles finds it) to rewrite the register.
  *  - HeapTagCorrupt / HeapBitFlip: the same two memory-corruption
  *    models applied to the *live run-time heap* instead of the static
  *    image. The run is paused mid-execution (Hooks::pauseAtCycle),
@@ -33,16 +34,18 @@
  * Everything is derived from FaultSpec::seed with a splitmix64 stream:
  * the same (spec, compiled unit) pair always yields the same injected
  * fault, so campaigns are replayable cell by cell. Faults are applied
- * through RunRequest::hooks' imageMutator/machineSetup/pauseHook seams,
- * i.e. to the per-run expanded image and the live run — never to the
- * engine's cached compiled unit.
+ * through RunRequest::hooks' imageMutator and pause seams, i.e. to the
+ * per-run expanded image and the live run — never to the engine's
+ * cached compiled unit.
  */
 
 #ifndef MXLISP_FAULTS_FAULT_INJECTOR_H_
 #define MXLISP_FAULTS_FAULT_INJECTOR_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "core/engine.h"
 
@@ -68,10 +71,32 @@ bool faultClassIsHeap(FaultClass cls);
 /** True for the classes injected into a paused run's live stack. */
 bool faultClassIsStack(FaultClass cls);
 
-/** True for every class injected at a mid-run pause (heap- and
- *  stack-resident faults); these require a nonzero
+/** True for every class injected at a mid-run pause (call-argument,
+ *  heap- and stack-resident faults); these require a nonzero
  *  FaultSpec::pauseCycle. */
 bool faultClassNeedsPause(FaultClass cls);
+
+/**
+ * CallArgType corrupts the N-th executed call, with N drawn from
+ * [0, kCallWindow). A small window keeps the fault early enough that
+ * most trials actually reach it (trials where the program performs
+ * fewer calls are classified Masked — the fault never fired, which is
+ * itself a data point).
+ */
+inline constexpr uint64_t kCallWindow = 16;
+
+/**
+ * Cycles at which the first kCallWindow calls (Jal/Jalr) issue in a
+ * fault-free interpreter run of @p unit as the Engine runs it (expanded
+ * image, trap handlers on); fewer if it stops or passes @p maxCycles.
+ */
+std::vector<uint64_t> scanCallCycles(const CompiledUnit &unit,
+                                     uint64_t maxCycles);
+
+/** FaultSpec::pauseCycle of a CallArgType fault: one cycle before the
+ *  seed's N-th call in @p callCycles, or 0 (unarmed) if there is none. */
+uint64_t callArgPauseCycle(uint64_t seed,
+                           std::span<const uint64_t> callCycles);
 
 /** One fully specified fault: class plus the seed that selects the
  *  injection site. */
@@ -82,10 +107,10 @@ struct FaultSpec
 
     /**
      * Cycle at which pause-based faults stop the run and inject
-     * (Hooks::pauseAtCycle). Required nonzero for the Heap* and
-     * Stack* classes — campaigns derive it from the golden run's cycle
-     * count so the pause lands mid-execution; ignored by the static
-     * classes.
+     * (Hooks::pauseAtCycle). Required nonzero for the live-run
+     * classes — campaigns take it from a call scan or scale it to the
+     * golden run's cycle count so the pause lands mid-execution;
+     * ignored by the static classes.
      */
     uint64_t pauseCycle = 0;
 
@@ -127,9 +152,9 @@ class FaultRng
 
 /**
  * Attach @p spec to @p req: installs the imageMutator (TagCorrupt,
- * BitFlip), machineSetup hook (CallArgType) or pauseAtCycle +
- * pauseHook (heap and stack classes) that applies the fault to each
- * run of the request. The request's other fields are untouched;
+ * BitFlip) or pauseAtCycle + pauseHook (call-argument, heap and stack
+ * classes) that applies the fault to each run of the request. The
+ * request's other fields are untouched;
  * in particular the compiled-unit cache key is unchanged, so all trials
  * of one grid cell share a single compilation.
  */

@@ -63,36 +63,6 @@ percentileSummary(const std::vector<uint64_t> &sample)
 }
 
 void
-CycleHistogram::add(uint64_t v)
-{
-    size_t b = 0;
-    while (v != 0) {
-        v >>= 1;
-        ++b;
-    }
-    ++buckets[b];
-    ++count;
-}
-
-uint64_t
-CycleHistogram::quantileBound(double q) const
-{
-    if (count == 0)
-        return 0;
-    uint64_t rank = static_cast<uint64_t>(
-        std::ceil(q * static_cast<double>(count)));
-    if (rank == 0)
-        rank = 1;
-    uint64_t seen = 0;
-    for (size_t b = 0; b < buckets.size(); ++b) {
-        seen += buckets[b];
-        if (seen >= rank)
-            return b == 0 ? 0 : (uint64_t{1} << b) - 1;
-    }
-    return ~uint64_t{0};
-}
-
-void
 finishCoverageCell(CoverageCell *cell)
 {
     int ran = cell->total - cell->skipped;

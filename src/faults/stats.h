@@ -21,7 +21,6 @@
 #ifndef MXLISP_FAULTS_STATS_H_
 #define MXLISP_FAULTS_STATS_H_
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,25 +56,6 @@ struct PercentileSummary
 
 /** Exact nearest-rank percentiles (sorts a copy of @p sample). */
 PercentileSummary percentileSummary(const std::vector<uint64_t> &sample);
-
-/**
- * Power-of-two bucket histogram for cycle counts: value v lands in
- * bucket floor(log2(v)) + 1 (0 for v == 0). O(1) memory regardless of
- * campaign size — the streaming alternative to percentileSummary()
- * when keeping every sample is too much, at the cost of quantiles
- * quantized to bucket upper bounds.
- */
-struct CycleHistogram
-{
-    std::array<uint64_t, 65> buckets{};
-    uint64_t count = 0;
-
-    void add(uint64_t v);
-
-    /** Upper bound of the bucket holding the q-quantile (q in [0, 1]);
-     *  0 when empty. */
-    uint64_t quantileBound(double q) const;
-};
 
 /** One (config, class) cell's coverage statistics, as exported to and
  *  re-read from BENCH_faults.json. */

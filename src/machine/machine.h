@@ -164,6 +164,8 @@ class Machine
     uint32_t reg(Reg r) const { return regs_[r]; }
     void setReg(Reg r, uint32_t v) { if (r) regs_[r] = v; }
     std::span<const uint32_t, 32> regs() const { return regs_; }
+    /** The live register file; a writer must leave r0 zero. */
+    std::span<uint32_t, 32> regs() { return regs_; }
 
     Memory &memory() { return mem_; }
     const Memory &memory() const { return mem_; }

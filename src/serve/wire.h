@@ -48,7 +48,9 @@
  *    "translated", "installTrapHandlers":b,
  *    "fault":{"class":...,"seed":...,"pause":...}}  optional fault
  *                               injection (campaign traffic: the
- *                               client classifies against its golden)
+ *                               client classifies against its golden);
+ *                               every live-run class (call-arg-type,
+ *                               heap-*, stack-*) needs a nonzero pause
  *
  * parseCell() is the single decoder both the server's admission path
  * and the forked workers use, so a cell that admits always parses in

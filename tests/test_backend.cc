@@ -67,9 +67,7 @@ differential(const CompiledUnit &unit, uint64_t maxCycles,
     RunControls rc;
     rc.maxCycles = maxCycles;
     RunResult a = runUnitOn(unit, unit.memory, rc);
-    TranslatedControls tc;
-    tc.maxCycles = maxCycles;
-    RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+    RunResult b = runTranslated(unit, *tr.unit, unit.memory, rc);
     ::testing::AssertionResult same = sameResult(a, b);
     if (reference)
         *reference = std::move(a);
@@ -124,7 +122,7 @@ sameAtEveryLimit(const CompiledUnit &unit, uint64_t from, uint64_t to)
     for (uint64_t limit = from; limit <= to; ++limit) {
         if (limit > from && stop == StopReason::CycleLimit)
             stop = m.resume(limit);
-        TranslatedControls tc;
+        RunControls tc;
         tc.maxCycles = limit;
         ::testing::AssertionResult same = sameResult(
             resultOf(m, unit, stop),
@@ -278,11 +276,9 @@ TEST(Backend, UnhandledTrapEncodingMatches)
     auto tr = translateUnit(unit);
     ASSERT_TRUE(tr.unit) << tr.note;
     RunControls rc;
-    rc.installUnitTrapHandlers = false;
+    rc.installTrapHandlers = false;
     RunResult a = runUnitOn(unit, unit.memory, rc);
-    TranslatedControls tc;
-    tc.installTrapHandlers = false;
-    RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+    RunResult b = runTranslated(unit, *tr.unit, unit.memory, rc);
     EXPECT_EQ(a.stop, StopReason::Errored);
     EXPECT_NE(a.errorCode, 0);
     EXPECT_TRUE(sameResult(a, b));
@@ -337,9 +333,7 @@ TEST(Backend, CycleLimitStopsAreIdentical)
     RunControls rc;
     rc.deadlineSeconds = 60;
     RunResult a = runUnitOn(unit, unit.memory, rc);
-    TranslatedControls tc;
-    tc.deadlineSeconds = 60;
-    RunResult b = runTranslated(unit, *tr.unit, unit.memory, tc);
+    RunResult b = runTranslated(unit, *tr.unit, unit.memory, rc);
     EXPECT_GE(a.stats.total, 3'000'000u);
     EXPECT_EQ(a.stop, StopReason::Halted);
     EXPECT_FALSE(b.timedOut);
@@ -535,8 +529,8 @@ TEST(Backend, AutoFallbackStampsAndCounts)
     uint64_t before = fallbacks.value();
 
     RunRequest req = request(kLoop, Checking::Full);
-    req.hooks.machineSetup = [](Machine &, const CompiledUnit &) {
-    }; // interpreter-only seam
+    req.hooks.pauseAtCycle = 100; // the interpreter-only seam
+    req.hooks.pauseHook = [](auto, auto, const CompiledUnit &) {};
     req.hooks.collectProfile = true;
     RunReport rep = eng.run(req);
     ASSERT_TRUE(rep.ok()) << rep.status.message;
@@ -553,7 +547,8 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
     Engine eng(1);
     RunRequest req = request(kLoop, Checking::Off);
     req.exec.backend = Backend::Translated;
-    req.hooks.machineSetup = [](Machine &, const CompiledUnit &) {};
+    req.hooks.pauseAtCycle = 100;
+    req.hooks.pauseHook = [](auto, auto, const CompiledUnit &) {};
     req.hooks.collectProfile = true;
     RunReport rep = eng.run(req);
     EXPECT_FALSE(rep.ok());
@@ -561,6 +556,20 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
     EXPECT_NE(rep.status.message.find("translated backend unavailable"),
               std::string::npos)
         << rep.status.message;
+}
+
+TEST(Backend, RunTranslatedRefusesAnArmedPause)
+{
+    // The translated executor has no pause seam: handed an armed pause
+    // directly, it refuses instead of running past the hook.
+    CompiledUnit unit = compileUnit(kLoop, baselineOptions(Checking::Off));
+    auto tr = translateUnit(unit);
+    ASSERT_TRUE(tr.unit) << tr.note;
+    RunControls rc;
+    rc.pauseHook = [](auto, auto, const CompiledUnit &) {};
+    EXPECT_TRUE(runTranslated(unit, *tr.unit, unit.memory, rc).ok());
+    rc.pauseAtCycle = 100;
+    EXPECT_THROW(runTranslated(unit, *tr.unit, unit.memory, rc), MxlError);
 }
 
 TEST(Backend, FallbackPreservesPauseResumeSemantics)
@@ -674,7 +683,8 @@ TEST(Backend, GridMixesBackendsDeterministically)
     Engine eng(2);
     std::vector<RunRequest> reqs(3, request(kLoop, Checking::Full));
     reqs[1].exec.backend = Backend::Interpreter;
-    reqs[2].hooks.machineSetup = [](Machine &, const CompiledUnit &) {};
+    reqs[2].hooks.pauseAtCycle = 100;
+    reqs[2].hooks.pauseHook = [](auto, auto, const CompiledUnit &) {};
     reqs[2].hooks.collectProfile = true;
     auto reps = eng.runGrid(reqs);
     ASSERT_EQ(reps.size(), 3u);

@@ -129,7 +129,7 @@ TEST(FaultInjector, TagCorruptIsDeterministicAndTagConfined)
     spec.seed = 5;
     armFault(req, spec);
     ASSERT_TRUE(static_cast<bool>(req.hooks.imageMutator));
-    ASSERT_FALSE(static_cast<bool>(req.hooks.machineSetup));
+    ASSERT_FALSE(static_cast<bool>(req.hooks.pauseHook));
 
     Memory a = unit.memory;
     Memory b = unit.memory;
@@ -205,15 +205,136 @@ TEST(FaultInjector, BitFlipFlipsExactlyOneBit)
     EXPECT_EQ(flippedBits, 1);
 }
 
-TEST(FaultInjector, CallArgTypeInstallsMachineHook)
+TEST(FaultInjector, CallArgTypeArmsThePause)
 {
     RunRequest req;
     FaultSpec spec;
     spec.cls = FaultClass::CallArgType;
     spec.seed = 3;
+    spec.pauseCycle = 250;
     armFault(req, spec);
     EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
-    EXPECT_TRUE(static_cast<bool>(req.hooks.machineSetup));
+    EXPECT_TRUE(static_cast<bool>(req.hooks.pauseHook));
+    EXPECT_EQ(req.hooks.pauseAtCycle, 250u);
+    EXPECT_TRUE(req.hooks.needsInterpreter());
+    EXPECT_EQ(spec.describe(), "call-arg-type(seed=3,pause=250)");
+}
+
+namespace {
+
+/**
+ * The reference call-arg-type injector: a Machine::traceHook that, as
+ * the seed's N-th call issues, substitutes the seed's ill-typed value
+ * into its argument register (the same three draws as the pause
+ * hook). @p regsAtCall receives the registers at that issue.
+ */
+RunResult
+traceHookCallArgRun(const CompiledUnit &unit, uint64_t seed,
+                    uint64_t maxCycles, std::array<uint32_t, 32> *regsAtCall)
+{
+    FaultRng rng(seed);
+    const uint64_t targetCall = rng.below(kCallWindow);
+    const Reg argReg = static_cast<Reg>(mxl::abi::arg0 + rng.below(2));
+    const TagScheme &s = *unit.scheme;
+    const uint32_t align = s.alignment(TypeId::Pair);
+    const uint32_t pairWord = s.encodePointer(
+        TypeId::Pair, (unit.layout.heapABase + align - 1) & ~(align - 1));
+    const uint32_t fixWord =
+        s.encodeFixnum(static_cast<int64_t>(1 + rng.below(1000)));
+
+    Machine m(unit.prog, Memory(unit.layout.memBytes, unit.memory),
+              unit.opts.hw, unit.scheme.get());
+    installTrapHandlers(m, unit);
+    uint64_t calls = 0;
+    m.traceHook = [&](int, const Instruction &inst) {
+        if ((inst.op != Opcode::Jal && inst.op != Opcode::Jalr) ||
+            calls++ != targetCall)
+            return;
+        std::ranges::copy(m.regs(), regsAtCall->begin());
+        m.setReg(argReg, s.wordIsFixnum(m.reg(argReg)) ? pairWord : fixWord);
+    };
+    RunResult r;
+    r.stop = m.run(unit.entry, maxCycles);
+    r.stats = m.stats();
+    r.output = m.output();
+    r.errorCode = m.errorCode();
+    r.exitValue = m.exitValue();
+    r.faultIndex = m.faultIndex();
+    r.gcCount = m.memory().load(unit.layout.cellAddr(Cell::GcCount));
+    r.heapUsed = m.memory().load(unit.layout.cellAddr(Cell::HeapUsed));
+    return r;
+}
+
+} // namespace
+
+TEST(FaultInjector, CallArgPauseMatchesTheTraceHookInjector)
+{
+    // One seed per (call, register) pair the class can pick: every call
+    // of the window, both argument registers.
+    std::vector<uint64_t> seeds(2 * kCallWindow, 0);
+    size_t missing = seeds.size();
+    for (uint64_t i = 0; missing > 0; ++i) {
+        uint64_t seed = FaultRng::mix(0xCA11, i);
+        FaultRng rng(seed);
+        uint64_t call = rng.below(kCallWindow);
+        uint64_t &slot = seeds[call * 2 + rng.below(2)];
+        if (slot == 0) {
+            slot = seed;
+            --missing;
+        }
+    }
+
+    // The pause at the scanned call cycle - 1 must give the traceHook
+    // injector's whole result, and its hook must see the registers of
+    // the call's issue; on baseline software checking and on the
+    // hardware-trap rung.
+    const BenchmarkProgram &prog = programByName("opt");
+    Engine eng(1);
+    int perturbed = 0;
+    for (CompilerOptions opts : {baselineOptions(Checking::Full),
+                                 checkedAllOpts()}) {
+        opts.heapBytes = prog.heapBytes;
+        RunRequest req;
+        req.source = prog.source;
+        req.opts = opts;
+        req.exec.maxCycles = prog.maxCycles;
+        RunReport golden = eng.run(req);
+        ASSERT_TRUE(golden.ok()) << golden.status.message;
+        const std::shared_ptr<const CompiledUnit> unit =
+            eng.compile(req.source, req.opts).unit;
+        const std::vector<uint64_t> calls =
+            scanCallCycles(*unit, req.exec.maxCycles);
+        ASSERT_EQ(calls.size(), kCallWindow);
+
+        for (uint64_t seed : seeds) {
+            FaultSpec spec;
+            spec.cls = FaultClass::CallArgType;
+            spec.seed = seed;
+            spec.pauseCycle = callArgPauseCycle(seed, calls);
+            SCOPED_TRACE(spec.describe());
+            RunRequest faulted = req;
+            armFault(faulted, spec);
+            std::array<uint32_t, 32> seen{}, atCall{};
+            faulted.hooks.pauseHook = [&seen,
+                                       inject = faulted.hooks.pauseHook](
+                                          std::span<uint32_t> memory,
+                                          std::span<uint32_t, 32> regs,
+                                          const CompiledUnit &u) {
+                std::ranges::copy(regs, seen.begin());
+                inject(memory, regs, u);
+            };
+            RunReport rep = eng.run(faulted);
+            ASSERT_TRUE(rep.status.ok()) << rep.status.message;
+            EXPECT_TRUE(rep.result.paused);
+            RunResult ref =
+                traceHookCallArgRun(*unit, seed, req.exec.maxCycles, &atCall);
+            EXPECT_EQ(seen, atCall);
+            EXPECT_TRUE(sameResult(rep.result, ref));
+            if (!sameResult(ref, golden.result))
+                ++perturbed;
+        }
+    }
+    EXPECT_GT(perturbed, 0); // the faults are not all masked
 }
 
 // ---- classification ---------------------------------------------------
@@ -364,8 +485,9 @@ TEST(Campaign, SharedFaultPopulationAcrossConfigs)
     for (const TrialRecord &t : r.trials)
         for (const TrialRecord &u : r.trials)
             if (t.program == u.program && t.cls == u.cls &&
-                t.trial == u.trial)
+                t.trial == u.trial) {
                 EXPECT_EQ(t.faultSeed, u.faultSeed);
+            }
 }
 
 TEST(Campaign, CheckedHardwareDetectsMoreTagCorruptions)
@@ -412,7 +534,6 @@ TEST(FaultInjector, HeapClassesArmThePauseSeamNotTheImage)
     spec.pauseCycle = 5000;
     armFault(req, spec);
     EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
-    EXPECT_FALSE(static_cast<bool>(req.hooks.machineSetup));
     EXPECT_TRUE(static_cast<bool>(req.hooks.pauseHook));
     EXPECT_EQ(req.hooks.pauseAtCycle, 5000u);
 
@@ -511,8 +632,9 @@ TEST(Campaign, HeapPauseCyclesShareSitesAcrossConfigs)
     for (const TrialRecord &t : r.trials)
         for (const TrialRecord &u : r.trials)
             if (t.program == u.program && t.cls == u.cls &&
-                t.trial == u.trial)
+                t.trial == u.trial) {
                 EXPECT_EQ(t.faultSeed, u.faultSeed);
+            }
 }
 
 // ---- durability: journal, resume, skip --------------------------------
@@ -744,7 +866,7 @@ TEST(FaultSpec, StackClassesArePauseBased)
     EXPECT_FALSE(faultClassIsStack(FaultClass::HeapTagCorrupt));
     EXPECT_FALSE(faultClassIsStack(FaultClass::TagCorrupt));
 
-    // needsPause is exactly heap-or-stack.
+    // needsPause is exactly call-arg, heap or stack.
     for (FaultClass cls : {FaultClass::TagCorrupt, FaultClass::BitFlip,
                            FaultClass::CallArgType,
                            FaultClass::HeapTagCorrupt,
@@ -752,7 +874,8 @@ TEST(FaultSpec, StackClassesArePauseBased)
                            FaultClass::StackTagCorrupt,
                            FaultClass::StackBitFlip})
         EXPECT_EQ(faultClassNeedsPause(cls),
-                  faultClassIsHeap(cls) || faultClassIsStack(cls));
+                  cls == FaultClass::CallArgType || faultClassIsHeap(cls) ||
+                      faultClassIsStack(cls));
 
     FaultSpec spec;
     spec.cls = FaultClass::StackTagCorrupt;
@@ -772,7 +895,6 @@ TEST(FaultInjector, StackClassesArmThePauseSeamNotTheImage)
         spec.pauseCycle = 4000;
         armFault(req, spec);
         EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
-        EXPECT_FALSE(static_cast<bool>(req.hooks.machineSetup));
         EXPECT_TRUE(static_cast<bool>(req.hooks.pauseHook));
         EXPECT_EQ(req.hooks.pauseAtCycle, 4000u);
     }
@@ -1168,28 +1290,6 @@ TEST(FaultStats, PercentileSummaryNearestRank)
     EXPECT_EQ(one.min, 42u);
     EXPECT_EQ(one.p50, 42u);
     EXPECT_EQ(one.max, 42u);
-}
-
-TEST(FaultStats, CycleHistogramQuantileBounds)
-{
-    CycleHistogram h;
-    EXPECT_EQ(h.quantileBound(0.5), 0u);
-
-    std::vector<uint64_t> sample;
-    for (uint64_t i = 0; i < 1000; ++i)
-        sample.push_back(i * 37 + 1);
-    for (uint64_t v : sample)
-        h.add(v);
-    EXPECT_EQ(h.count, sample.size());
-
-    // The bucket bound is an upper bound on the exact quantile and at
-    // most one power of two above it.
-    PercentileSummary exact = percentileSummary(sample);
-    uint64_t bound = h.quantileBound(0.5);
-    EXPECT_GE(bound, exact.p50);
-    EXPECT_LE(bound, exact.p50 * 2);
-    EXPECT_GE(h.quantileBound(0.99), exact.p99);
-    EXPECT_GE(h.quantileBound(1.0), exact.max);
 }
 
 TEST(FaultStats, CoverageCellJsonRoundTripRecomputes)

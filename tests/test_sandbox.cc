@@ -252,8 +252,9 @@ TEST(Sandbox, HangExhaustsRetriesThenClassifiesCycleLimit)
     EXPECT_EQ(r.sandbox.abandoned, 1);
     ASSERT_EQ(r.trials.size(), inproc.trials.size());
     for (size_t i = 0; i < r.trials.size(); ++i) {
-        if (i != 1)
+        if (i != 1) {
             EXPECT_EQ(r.trials[i].outcome, inproc.trials[i].outcome) << i;
+        }
     }
 }
 

@@ -197,15 +197,28 @@ TEST(Wire, ParseCellArmsFaults)
     EXPECT_TRUE(static_cast<bool>(wc.request.hooks.imageMutator) ||
                 wc.request.hooks.needsInterpreter());
 
-    // A heap-resident class without a pause cycle is rejected, not
+    // A live-run class without a pause cycle is rejected, not
     // silently armed as a no-op.
-    Json bad = Json::object();
-    bad.set("source", "(exit 0)");
-    Json badFault = Json::object();
-    badFault.set("class", "heap-tag-corrupt");
-    bad.set("fault", std::move(badFault));
-    EXPECT_FALSE(parseCell(bad, &wc, &err));
-    EXPECT_NE(err.find("pause"), std::string::npos);
+    for (const char *cls : {"heap-tag-corrupt", "call-arg-type"}) {
+        Json bad = Json::object();
+        bad.set("source", "(exit 0)");
+        Json badFault = Json::object();
+        badFault.set("class", cls);
+        bad.set("fault", std::move(badFault));
+        EXPECT_FALSE(parseCell(bad, &wc, &err)) << cls;
+        EXPECT_NE(err.find("pause"), std::string::npos) << cls;
+    }
+
+    // With one, call-arg-type arms the pause.
+    Json callArg = Json::object();
+    callArg.set("source", "(exit 0)");
+    Json callFault = Json::object();
+    callFault.set("class", "call-arg-type");
+    callFault.set("pause", static_cast<uint64_t>(40));
+    callArg.set("fault", std::move(callFault));
+    ASSERT_TRUE(parseCell(callArg, &wc, &err)) << err;
+    EXPECT_EQ(wc.request.hooks.pauseAtCycle, 40u);
+    EXPECT_TRUE(wc.request.hooks.needsInterpreter());
 }
 
 TEST(Wire, CellJsonRoundTripsThroughParseCell)
