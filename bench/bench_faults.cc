@@ -176,7 +176,7 @@ main(int argc, char **argv)
 {
     std::string journalPath = "BENCH_faults.jsonl";
     bool resume = false;
-    bool sandbox = procPoolSupported();
+    bool sandbox = true;
     int trials = 3;
     int procs = 0; // 0 = hardware_concurrency
     for (int i = 1; i < argc; ++i) {

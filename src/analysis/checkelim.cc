@@ -11,16 +11,6 @@ namespace mxl {
 
 namespace {
 
-std::vector<int>
-unitRoots(const CompiledUnit &unit)
-{
-    std::vector<int> roots;
-    for (int r : {unit.entry, unit.arithTrap, unit.tagTrap})
-        if (r >= 0)
-            roots.push_back(r);
-    return roots;
-}
-
 /**
  * Is @p r provably dead after the (removed) branch at @p from?
  * Scans forward over kept instructions: a read makes it live, a write
@@ -93,6 +83,65 @@ cloneUnit(const CompiledUnit &unit)
     out.objectWords = unit.objectWords;
     out.sourceLines = unit.sourceLines;
     return out;
+}
+
+std::vector<int>
+unitRoots(const CompiledUnit &unit)
+{
+    std::vector<int> roots;
+    for (int r : {unit.entry, unit.arithTrap, unit.tagTrap})
+        if (r >= 0)
+            roots.push_back(r);
+    return roots;
+}
+
+void
+removeInstructions(CompiledUnit &unit, const std::vector<bool> &remove)
+{
+    Program &prog = unit.prog;
+    const int n = static_cast<int>(prog.code.size());
+    std::vector<int> mapFwd(static_cast<size_t>(n) + 1, 0);
+    int ni = 0;
+    for (int i = 0; i < n; ++i) {
+        mapFwd[i] = ni;
+        if (!remove[i])
+            ++ni;
+    }
+    mapFwd[n] = ni;
+    if (ni == n)
+        return;
+
+    std::vector<Instruction> code;
+    code.reserve(static_cast<size_t>(ni));
+    for (int i = 0; i < n; ++i) {
+        if (remove[i])
+            continue;
+        Instruction q = prog.code[i];
+        if (q.target >= 0 && q.target <= n)
+            q.target = mapFwd[q.target];
+        code.push_back(q);
+    }
+    prog.code = std::move(code);
+    for (auto &[name, idx] : prog.symbols) {
+        (void)name;
+        if (idx >= 0 && idx <= n)
+            idx = mapFwd[idx];
+    }
+    auto renum = [&](int &idx) {
+        if (idx >= 0 && idx <= n)
+            idx = mapFwd[idx];
+    };
+    renum(unit.entry);
+    renum(unit.arithTrap);
+    renum(unit.tagTrap);
+    unit.objectWords = static_cast<int>(prog.code.size());
+
+    // Function cells in the image hold absolute code addresses.
+    for (const auto &[sym, addr] : unit.fnCells) {
+        const int idx = prog.symbol(sym);
+        MXL_ASSERT(idx >= 0, "function cell for unknown symbol ", sym);
+        unit.memory.word(addr >> 2) = Machine::codeAddr(idx);
+    }
 }
 
 ElimStats
@@ -185,48 +234,7 @@ eliminateRedundantChecks(CompiledUnit &unit)
         }
     }
 
-    // Renumber: every target/symbol maps to the first kept instruction
-    // at or after its old index.
-    std::vector<int> mapFwd(static_cast<size_t>(n) + 1, 0);
-    int ni = 0;
-    for (int i = 0; i < n; ++i) {
-        mapFwd[i] = ni;
-        if (!remove[i])
-            ++ni;
-    }
-    mapFwd[n] = ni;
-
-    std::vector<Instruction> code;
-    code.reserve(static_cast<size_t>(ni));
-    for (int i = 0; i < n; ++i) {
-        if (remove[i])
-            continue;
-        Instruction q = prog.code[i];
-        if (q.target >= 0 && q.target <= n)
-            q.target = mapFwd[q.target];
-        code.push_back(q);
-    }
-    prog.code = std::move(code);
-    for (auto &[name, idx] : prog.symbols) {
-        (void)name;
-        if (idx >= 0 && idx <= n)
-            idx = mapFwd[idx];
-    }
-    auto renum = [&](int &idx) {
-        if (idx >= 0 && idx <= n)
-            idx = mapFwd[idx];
-    };
-    renum(unit.entry);
-    renum(unit.arithTrap);
-    renum(unit.tagTrap);
-    unit.objectWords = static_cast<int>(prog.code.size());
-
-    // Function cells in the image hold absolute code addresses.
-    for (const auto &[sym, addr] : unit.fnCells) {
-        const int idx = prog.symbol(sym);
-        MXL_ASSERT(idx >= 0, "function cell for unknown symbol ", sym);
-        unit.memory.word(addr >> 2) = Machine::codeAddr(idx);
-    }
+    removeInstructions(unit, remove);
     return st;
 }
 

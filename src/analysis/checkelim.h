@@ -28,6 +28,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "compiler/unit.h"
 
@@ -48,6 +49,18 @@ struct ElimStats
 
 /** Deep-copy a compiled unit (the scheme is re-made from opts). */
 CompiledUnit cloneUnit(const CompiledUnit &unit);
+
+/** @p unit's CFG roots: its entry and whichever trap handlers it has. */
+std::vector<int> unitRoots(const CompiledUnit &unit);
+
+/**
+ * Delete the instructions @p remove marks from @p unit and renumber:
+ * every branch target, symbol, entry and trap point maps to the first
+ * kept instruction at or after its old index, and the image's function
+ * cells are re-linked. A rewrite that must not move a trap handler
+ * refuses before calling this.
+ */
+void removeInstructions(CompiledUnit &unit, const std::vector<bool> &remove);
 
 /**
  * Delete provably redundant checks from @p unit in place, renumbering

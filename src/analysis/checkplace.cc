@@ -16,16 +16,6 @@ namespace mxl {
 
 namespace {
 
-std::vector<int>
-unitRoots(const CompiledUnit &unit)
-{
-    std::vector<int> roots;
-    for (int r : {unit.entry, unit.arithTrap, unit.tagTrap})
-        if (r >= 0)
-            roots.push_back(r);
-    return roots;
-}
-
 // ---------------------------------------------------------------------
 // Whole-program register liveness (block level, 32-bit masks).
 //
@@ -298,61 +288,6 @@ applyInsertions(CompiledUnit &unit, std::vector<InsertPlan> &plans)
         MXL_ASSERT(idx >= 0, "function cell for unknown symbol ", sym);
         unit.memory.word(addr >> 2) = Machine::codeAddr(idx);
     }
-}
-
-/** Delete the marked instructions and renumber (checkelim's scheme). */
-int
-applyRemovals(CompiledUnit &unit, const std::vector<bool> &remove)
-{
-    Program &prog = unit.prog;
-    const int n = static_cast<int>(prog.code.size());
-    int removed = 0;
-    for (int i = 0; i < n; ++i)
-        if (remove[i])
-            ++removed;
-    if (removed == 0)
-        return 0;
-
-    std::vector<int> mapFwd(static_cast<size_t>(n) + 1, 0);
-    int ni = 0;
-    for (int i = 0; i < n; ++i) {
-        mapFwd[i] = ni;
-        if (!remove[i])
-            ++ni;
-    }
-    mapFwd[n] = ni;
-
-    std::vector<Instruction> code;
-    code.reserve(static_cast<size_t>(ni));
-    for (int i = 0; i < n; ++i) {
-        if (remove[i])
-            continue;
-        Instruction q = prog.code[i];
-        if (q.target >= 0 && q.target <= n)
-            q.target = mapFwd[q.target];
-        code.push_back(q);
-    }
-    prog.code = std::move(code);
-    for (auto &[name, idx] : prog.symbols) {
-        (void)name;
-        if (idx >= 0 && idx <= n)
-            idx = mapFwd[idx];
-    }
-    auto renum = [&](int &idx) {
-        if (idx >= 0 && idx <= n)
-            idx = mapFwd[idx];
-    };
-    renum(unit.entry);
-    renum(unit.arithTrap);
-    renum(unit.tagTrap);
-    unit.objectWords = static_cast<int>(prog.code.size());
-
-    for (const auto &[sym, addr] : unit.fnCells) {
-        const int idx = prog.symbol(sym);
-        MXL_ASSERT(idx >= 0, "function cell for unknown symbol ", sym);
-        unit.memory.word(addr >> 2) = Machine::codeAddr(idx);
-    }
-    return removed;
 }
 
 // ---------------------------------------------------------------------
@@ -783,7 +718,7 @@ globalCleanup(CompiledUnit &unit, PlaceStats &st)
         }
     }
 
-    applyRemovals(unit, remove);
+    removeInstructions(unit, remove);
 }
 
 } // namespace

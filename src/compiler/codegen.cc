@@ -60,12 +60,6 @@ CodeGen::declareFunction(Sx *name, int arity)
     functions_.emplace(name, FnInfo{label, arity});
 }
 
-bool
-CodeGen::isDeclared(Sx *name) const
-{
-    return functions_.count(name) != 0;
-}
-
 int
 CodeGen::functionLabel(Sx *name, int arity)
 {

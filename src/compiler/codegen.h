@@ -74,8 +74,6 @@ class CodeGen
     /** Pass 1: declare a function so calls can be resolved. */
     void declareFunction(Sx *name, int arity);
 
-    bool isDeclared(Sx *name) const;
-
     /** Pass 2: compile `(de name (args...) body...)`. */
     void compileFunction(Sx *def);
 

@@ -47,8 +47,6 @@ class FrameEnv
     /** Words currently pushed in this frame. */
     int depth() const { return depth_; }
 
-    int numBindings() const { return static_cast<int>(bindings_.size()); }
-
   private:
     struct Binding
     {

@@ -304,8 +304,10 @@ compilerOptionsJson(const CompilerOptions &o)
     j.set("branchOnTag", o.hw.branchOnTag);
     j.set("genericArith", o.hw.genericArith);
     j.set("checkedMemory", static_cast<int64_t>(o.hw.checkedMemory));
+    j.set("memTagging", o.hw.memTagging);
     j.set("fillDelaySlots", o.fillDelaySlots);
     j.set("overlapChecks", o.overlapChecks);
+    j.set("verifyLinked", o.verifyLinked);
     j.set("memBytes", o.memBytes);
     j.set("staticBytes", o.staticBytes);
     j.set("heapBytes", o.heapBytes);

@@ -61,8 +61,6 @@ contextPanic(const Program &prog, int pc, uint64_t cycle,
                           "', cycle ", cycle, "]"));
 }
 
-#if defined(__GNUC__)
-
 /** No load-interlock register pending (a shift that reads bit 32 of a
  *  32-bit read mask, which is always clear). */
 constexpr unsigned kNoPend = 32;
@@ -768,11 +766,7 @@ labelTable()
     return table;
 }
 
-#endif // __GNUC__
-
 } // namespace
-
-#if defined(__GNUC__)
 
 const void *const *
 texecLabelTable()
@@ -788,22 +782,5 @@ runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
         panic("the translated backend has no pause seam");
     return coreRun(unit, tu, image, controls, nullptr);
 }
-
-#else // !__GNUC__
-
-const void *const *
-texecLabelTable()
-{
-    return nullptr;
-}
-
-RunResult
-runTranslated(const CompiledUnit &, const TranslatedUnit &, Memory,
-              const RunControls &)
-{
-    panic("translated backend requires computed-goto support");
-}
-
-#endif
 
 } // namespace mxl

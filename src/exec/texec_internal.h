@@ -55,11 +55,7 @@ enum TKind : uint16_t
     kNumTKinds,
 };
 
-/**
- * Block-mode host dispatch addresses indexed by TKind, or null when the
- * build has no computed-goto support (translation then refuses every
- * unit and the engine stays on the interpreter tier).
- */
+/** Block-mode host dispatch addresses indexed by TKind. */
 const void *const *texecLabelTable();
 
 /** True for the control transfers (TBeq..TJalr). */

@@ -44,8 +44,6 @@ TranslateResult
 translateUnit(const CompiledUnit &unit)
 {
     const void *const *labels = texecLabelTable();
-    if (!labels)
-        return refuse("host compiler has no computed-goto support");
     if (!unit.scheme)
         return refuse("unit has no tag scheme");
 

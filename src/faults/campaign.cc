@@ -557,7 +557,7 @@ runCampaign(Engine &engine, const Campaign &campaign,
         pending.push_back(i);
 
     SandboxStats sandboxStats;
-    if (options.sandbox.enabled && procPoolSupported() && !reqs.empty()) {
+    if (options.sandbox.enabled && !reqs.empty()) {
         // ---- process-isolated path: one trial in flight per worker ----
         // A task is {"i":ordinal,"a":attempt}; its result is the
         // trial's journal line, classified in the worker.

@@ -302,19 +302,18 @@ struct CampaignRunOptions
     std::function<void(const TrialRecord &)> onTrial;
 
     /**
-     * Process isolation for the faulted trials. With sandbox.enabled
-     * on a supported platform, pending trials run on persistent forked
-     * workers, one in flight per worker, instead of the engine's
-     * worker grid: goldens, classification semantics, journaling, and
-     * the resulting matrix are identical, but a trial that crashes or
-     * hangs the simulator kills only its worker. Because each worker
-     * runs one trial at a time, the dead worker's trial is the culprit:
-     * it is re-dispatched to a fresh worker, and after
+     * Process isolation for the faulted trials. With sandbox.enabled,
+     * pending trials run on persistent forked workers, one in flight
+     * per worker, instead of the engine's worker grid: goldens,
+     * classification semantics, journaling, and the resulting matrix
+     * are identical, but a trial that crashes or hangs the simulator
+     * kills only its worker. Because each worker runs one trial at a
+     * time, the dead worker's trial is the culprit: it is
+     * re-dispatched to a fresh worker, and after
      * SandboxOptions::maxAttempts deaths it is classified from the
      * last one (hang-kill -> CycleLimit; fatal signal ->
-     * CrashIllegalAccess with errorCode = -signal). Ignored where
-     * procPoolSupported() is false, and degrades back to in-process
-     * execution if fork fails persistently.
+     * CrashIllegalAccess with errorCode = -signal). Degrades back to
+     * in-process execution if fork fails persistently.
      */
     SandboxOptions sandbox;
 };

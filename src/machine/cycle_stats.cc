@@ -6,17 +6,6 @@
 
 namespace mxl {
 
-double
-CycleStats::pctPurpose(Purpose p, bool fromCheckingOnly) const
-{
-    if (total == 0)
-        return 0;
-    int i = static_cast<int>(p);
-    uint64_t c = fromCheckingOnly ? byPurpose[i][1]
-                                  : byPurpose[i][0] + byPurpose[i][1];
-    return 100.0 * static_cast<double>(c) / static_cast<double>(total);
-}
-
 std::string
 CycleStats::summary() const
 {

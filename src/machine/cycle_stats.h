@@ -74,9 +74,6 @@ struct CycleStats
         return byCat[static_cast<int>(c)][1];
     }
 
-    /** Fraction (0..100) of total cycles spent on @p p. */
-    double pctPurpose(Purpose p, bool fromCheckingOnly = false) const;
-
     /** Human-readable summary. */
     std::string summary() const;
 };

@@ -2,8 +2,6 @@
 
 #include "support/format.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MXL_CLIENT_POSIX 1
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -11,7 +9,6 @@
 #include <unistd.h>
 #include <cerrno>
 #include <cstring>
-#endif
 
 namespace mxl {
 
@@ -19,8 +16,6 @@ ServeClient::~ServeClient()
 {
     close();
 }
-
-#if MXL_CLIENT_POSIX
 
 void
 ServeClient::close()
@@ -230,65 +225,5 @@ ServeClient::ping(std::string *err)
             return true;
     }
 }
-
-#else // !MXL_CLIENT_POSIX
-
-void
-ServeClient::close()
-{
-}
-
-bool
-ServeClient::connectUnix(const std::string &, std::string *err)
-{
-    *err = "serve client requires a POSIX platform";
-    return false;
-}
-
-bool
-ServeClient::connectTcp(const std::string &, int, std::string *err)
-{
-    *err = "serve client requires a POSIX platform";
-    return false;
-}
-
-bool
-ServeClient::sendPayload(const std::string &, std::string *err)
-{
-    *err = "not connected";
-    return false;
-}
-
-bool
-ServeClient::readFrame(Json *, std::string *err)
-{
-    *err = "not connected";
-    return false;
-}
-
-ServeClient::GridOutcome
-ServeClient::runGrid(const std::string &, const std::vector<Json> &,
-                     int64_t, const CellFn &)
-{
-    GridOutcome out;
-    out.message = "serve client requires a POSIX platform";
-    return out;
-}
-
-bool
-ServeClient::health(Json *, std::string *err)
-{
-    *err = "serve client requires a POSIX platform";
-    return false;
-}
-
-bool
-ServeClient::ping(std::string *err)
-{
-    *err = "serve client requires a POSIX platform";
-    return false;
-}
-
-#endif // MXL_CLIENT_POSIX
 
 } // namespace mxl

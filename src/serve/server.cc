@@ -4,8 +4,6 @@
 #include "support/format.h"
 #include "support/panic.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MXL_SERVER_POSIX 1
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -14,17 +12,17 @@
 #include <sys/un.h>
 #include <unistd.h>
 #include <cerrno>
-#include <cstring>
-#endif
-
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace mxl {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr int kListenBacklog = 64;
 
 double
 secondsUntil(Clock::time_point when)
@@ -67,7 +65,6 @@ failureReport(const std::string &label, RunStatus::Code code,
     return rep.dump();
 }
 
-#if MXL_SERVER_POSIX
 int gSignalStopFd = -1;
 
 void
@@ -85,7 +82,6 @@ setNonBlocking(int fd)
     int flags = ::fcntl(fd, F_GETFL, 0);
     ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
-#endif
 
 } // namespace
 
@@ -96,7 +92,6 @@ Server::makePoolOptions()
     po.workers = options_.workers;
     po.backoffBaseMs = options_.backoffBaseMs;
     po.backoffCapMs = options_.backoffCapMs;
-    po.maxSpawnFailures = options_.maxSpawnFailures;
     po.watchdogGraceMs = options_.watchdogGraceMs;
     po.defaultTaskSeconds = options_.maxCellSeconds;
     po.disableFork = options_.disableFork;
@@ -129,7 +124,8 @@ Server::makePoolOptions()
 }
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), engine_(options_.engineThreads),
+    : options_(std::move(options)),
+      engine_(1), // the loop calls only run() and compile(), never runGrid()
       pool_(makePoolOptions(),
             [this](uint64_t id, const std::string &payload) {
                 deliverReport(id, payload, /*synthesized=*/false);
@@ -194,7 +190,6 @@ Server::Server(ServerOptions options)
 
 Server::~Server()
 {
-#if MXL_SERVER_POSIX
     pool_.shutdown(0);
     for (auto &[fd, conn] : conns_)
         ::close(fd);
@@ -212,10 +207,7 @@ Server::~Server()
     }
     if (!options_.unixPath.empty())
         ::unlink(options_.unixPath.c_str());
-#endif
 }
-
-#if MXL_SERVER_POSIX
 
 bool
 Server::listenUnix(std::string *err)
@@ -240,7 +232,7 @@ Server::listenUnix(std::string *err)
                  sizeof addr.sun_path - 1);
     if (::bind(unixFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof addr) != 0 ||
-        ::listen(unixFd_, options_.listenBacklog) != 0) {
+        ::listen(unixFd_, kListenBacklog) != 0) {
         *err = strcat("bind/listen ", options_.unixPath, ": ",
                       std::strerror(errno));
         return false;
@@ -270,7 +262,7 @@ Server::listenTcp(std::string *err)
                   : 0);
     if (::bind(tcpFd_, reinterpret_cast<sockaddr *>(&addr),
                sizeof addr) != 0 ||
-        ::listen(tcpFd_, options_.listenBacklog) != 0) {
+        ::listen(tcpFd_, kListenBacklog) != 0) {
         *err = strcat("tcp bind/listen: ", std::strerror(errno));
         return false;
     }
@@ -1018,150 +1010,6 @@ Server::serve()
     }
 }
 
-#else // !MXL_SERVER_POSIX
-
-bool
-Server::listenUnix(std::string *err)
-{
-    *err = "serving requires a POSIX platform";
-    return false;
-}
-
-bool
-Server::listenTcp(std::string *err)
-{
-    *err = "serving requires a POSIX platform";
-    return false;
-}
-
-bool
-Server::start(std::string *err)
-{
-    *err = "serving requires a POSIX platform";
-    return false;
-}
-
-void
-Server::serve()
-{
-}
-
-void
-Server::requestStop()
-{
-}
-
-void
-Server::installSignalHandlers()
-{
-}
-
-void
-Server::acceptReady(int)
-{
-}
-
-void
-Server::readConn(int)
-{
-}
-
-void
-Server::closeConn(int)
-{
-}
-
-void
-Server::handleFrame(Conn &, const std::string &)
-{
-}
-
-void
-Server::handleGrid(Conn &, const Json &)
-{
-}
-
-void
-Server::sendHealth(Conn &)
-{
-}
-
-void
-Server::queuePayload(int, const std::string &)
-{
-}
-
-void
-Server::flushConn(Conn &)
-{
-}
-
-void
-Server::pump()
-{
-}
-
-double
-Server::effectiveDeadlineSeconds(const Task &, const Request &,
-                                 bool *expired) const
-{
-    *expired = false;
-    return 0;
-}
-
-std::string
-Server::execCellInline(const Task &, double)
-{
-    return std::string();
-}
-
-void
-Server::deliverReport(uint64_t, const std::string &, bool)
-{
-}
-
-void
-Server::synthesizeFailure(uint64_t, const std::string &, int,
-                          const std::string &, RunStatus::Code)
-{
-}
-
-void
-Server::finishRequestIfDone(Request &)
-{
-}
-
-void
-Server::beginDrain()
-{
-}
-
-void
-Server::finishDrain()
-{
-}
-
-void
-Server::refreshPidMirror()
-{
-}
-
-std::vector<int>
-Server::workerPids() const
-{
-    return {};
-}
-
-std::string
-Server::runCellPayload(const Json &, double, bool,
-                       const std::string &)
-{
-    return std::string();
-}
-
-#endif // MXL_SERVER_POSIX
-
-// Platform-neutral: the trace is an in-memory structure either way.
 void
 Server::writeTraceIfConfigured()
 {

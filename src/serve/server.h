@@ -96,17 +96,10 @@ struct ServerOptions
      *  workers inherit a warm compiled-unit cache copy-on-write. */
     bool warmCache = false;
 
-    /** Threads for the in-process engine (workers use run(), so this
-     *  only affects degraded-mode throughput). */
-    unsigned engineThreads = 1;
-
     /** Pool knobs, forwarded. */
     int backoffBaseMs = 50;
     int backoffCapMs = 2000;
-    int maxSpawnFailures = 3;
     int watchdogGraceMs = 2000;
-
-    int listenBacklog = 64;
 
     /**
      * Nonempty: record a service trace — parent request/exec spans

@@ -222,43 +222,6 @@ parseCell(const Json &cell, WireCell *out, std::string *err)
 }
 
 Json
-cellToJson(const RunRequest &req)
-{
-    // Inverse of parseCell for the fields a RunRequest can carry over
-    // the wire. Hooks (fault arming) are NOT representable here; the
-    // server forwards the client's original cell JSON to workers
-    // instead of re-encoding, so this is only used by clients and
-    // tests building cells programmatically.
-    Json j = Json::object();
-    j.set("label", req.label);
-    j.set("source", req.source);
-    Json o = Json::object();
-    o.set("scheme", schemeKindName(req.opts.scheme));
-    o.set("checking",
-          req.opts.checking == Checking::Full ? "full" : "off");
-    o.set("arithMode", static_cast<int64_t>(req.opts.arithMode));
-    o.set("ignoreTagOnMemory", req.opts.hw.ignoreTagOnMemory);
-    o.set("branchOnTag", req.opts.hw.branchOnTag);
-    o.set("genericArith", req.opts.hw.genericArith);
-    o.set("checkedMemory",
-          static_cast<int64_t>(req.opts.hw.checkedMemory));
-    o.set("memTagging", req.opts.hw.memTagging);
-    o.set("fillDelaySlots", req.opts.fillDelaySlots);
-    o.set("overlapChecks", req.opts.overlapChecks);
-    o.set("memBytes", req.opts.memBytes);
-    o.set("staticBytes", req.opts.staticBytes);
-    o.set("heapBytes", req.opts.heapBytes);
-    j.set("options", std::move(o));
-    j.set("maxCycles", req.exec.maxCycles);
-    if (req.exec.deadlineSeconds > 0)
-        j.set("deadlineMs",
-              static_cast<uint64_t>(req.exec.deadlineSeconds * 1000.0));
-    j.set("backend", backendName(req.exec.backend));
-    j.set("installTrapHandlers", req.exec.installTrapHandlers);
-    return j;
-}
-
-Json
 reportToJson(const RunReport &rep)
 {
     Json j = Json::object();

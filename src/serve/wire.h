@@ -93,11 +93,6 @@ struct WireCell
  */
 bool parseCell(const Json &cell, WireCell *out, std::string *err);
 
-/** Re-encode @p cell for the worker channel: the cell JSON is forwarded
- *  verbatim between admission and execution, so this is the identity
- *  the server stores alongside each admitted task. */
-Json cellToJson(const RunRequest &req);
-
 /**
  * The per-cell report object inside a "cell" response: statusOk,
  * status/stop/errorCode/exitValue, stats totals, backend, wall time.

@@ -4,18 +4,14 @@
 #include "support/frame.h"
 #include "support/panic.h"
 
-#if defined(__unix__) || defined(__APPLE__)
-#define MXL_PROCPOOL_POSIX 1
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#include <cerrno>
-#endif
-
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 
 namespace mxl {
@@ -43,16 +39,6 @@ backoffMillis(int baseMs, int capMs, int attempt)
 }
 
 } // namespace
-
-bool
-procPoolSupported()
-{
-#if MXL_PROCPOOL_POSIX
-    return true;
-#else
-    return false;
-#endif
-}
 
 /**
  * One pool slot. Lifecycle: Dead --spawn--> Idle <--> Busy, with any
@@ -97,8 +83,6 @@ WorkerPool::~WorkerPool()
 {
     shutdown(0);
 }
-
-#if MXL_PROCPOOL_POSIX
 
 namespace {
 
@@ -307,7 +291,7 @@ WorkerPool::start()
         return;
     for (Worker &w : workers_) {
         if (!spawn(w) &&
-            consecutiveSpawnFailures_ >= options_.maxSpawnFailures) {
+            consecutiveSpawnFailures_ >= kMaxSpawnFailures) {
             breakerOpen_ = true;
             stats_.breakerOpen = true;
             break;
@@ -441,7 +425,7 @@ WorkerPool::tick()
         if (w.state == Worker::State::Dead && !breakerOpen_ &&
             now >= w.notBefore) {
             if (!spawn(w) &&
-                consecutiveSpawnFailures_ >= options_.maxSpawnFailures) {
+                consecutiveSpawnFailures_ >= kMaxSpawnFailures) {
                 breakerOpen_ = true;
                 stats_.breakerOpen = true;
             }
@@ -542,84 +526,6 @@ WorkerPool::degraded() const
 {
     return breakerOpen_;
 }
-
-#else // !MXL_PROCPOOL_POSIX
-
-bool
-WorkerPool::spawn(Worker &)
-{
-    return false;
-}
-
-void
-WorkerPool::reap(Worker &, bool)
-{
-}
-
-void
-WorkerPool::killWorker(Worker &)
-{
-}
-
-void
-WorkerPool::start()
-{
-    breakerOpen_ = true;
-    stats_.breakerOpen = true;
-}
-
-bool
-WorkerPool::dispatch(uint64_t, const std::string &, double,
-                     const std::string &, int *)
-{
-    return false;
-}
-
-void
-WorkerPool::collectFds(std::vector<struct pollfd> &) const
-{
-}
-
-void
-WorkerPool::onReadable()
-{
-}
-
-void
-WorkerPool::tick()
-{
-}
-
-int
-WorkerPool::nextDeadlineMs(int cap) const
-{
-    return cap;
-}
-
-void
-WorkerPool::pollOnce(int)
-{
-}
-
-std::vector<int>
-WorkerPool::workerPids() const
-{
-    return {};
-}
-
-void
-WorkerPool::shutdown(int)
-{
-    shutdown_ = true;
-}
-
-bool
-WorkerPool::degraded() const
-{
-    return true;
-}
-
-#endif // MXL_PROCPOOL_POSIX
 
 int
 WorkerPool::idleWorkers() const

@@ -25,7 +25,7 @@
  *    fresh worker immediately); respawned workers inherit the parent
  *    engine's compiled-unit cache copy-on-write via childInit
  *    (Engine::postFork), so they come up warm;
- *  - when fork itself fails maxSpawnFailures times in a row the
+ *  - when fork itself fails kMaxSpawnFailures times in a row the
  *    circuit breaker opens (degraded() == true) and stays open: the
  *    caller stops dispatching here and executes tasks in-process —
  *    graceful degradation instead of a spin of doomed forks;
@@ -54,9 +54,9 @@ struct pollfd; // <poll.h>
 
 namespace mxl {
 
-/** True when the platform can fork/pipe/poll (POSIX); elsewhere the
- *  pool starts degraded and callers run their tasks in-process. */
-bool procPoolSupported();
+/** Consecutive spawn (fork/socketpair) failures before the circuit
+ *  breaker opens permanently (WorkerPool::degraded()). */
+inline constexpr int kMaxSpawnFailures = 3;
 
 struct WorkerPoolOptions
 {
@@ -94,10 +94,6 @@ struct WorkerPoolOptions
     /** Respawn backoff after a worker death: base * 2^(n-1), capped. */
     int backoffBaseMs = 50;
     int backoffCapMs = 2000;
-
-    /** Consecutive spawn (fork/socketpair) failures before the circuit
-     *  breaker opens permanently (degraded()). */
-    int maxSpawnFailures = 3;
 
     /** Watchdog slack added to each task's deadline before the worker
      *  is presumed hung and killed. */
@@ -147,12 +143,11 @@ class WorkerPool
     WorkerPool(const WorkerPool &) = delete;
     WorkerPool &operator=(const WorkerPool &) = delete;
 
-    /** Fork the initial worker complement. Safe to call when
-     *  unsupported (pool just reports degraded). */
+    /** Fork the initial worker complement. */
     void start();
 
-    /** Circuit breaker state: true once fork is exhausted (or the
-     *  platform cannot fork at all) — dispatch() will always refuse. */
+    /** Circuit breaker state: true once fork is exhausted —
+     *  dispatch() will always refuse. */
     bool degraded() const;
 
     /** Workers alive and not running a task. */

@@ -1,14 +1,9 @@
 #include "support/zeroed.h"
 
+#include <sys/mman.h>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <new>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define MXL_ZEROED_MMAP 1
-#endif
 
 namespace mxl {
 
@@ -38,16 +33,10 @@ zeroedAlloc(size_t bytes)
 {
     if (bytes == 0)
         return nullptr;
-#ifdef MXL_ZEROED_MMAP
     void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED)
         throw std::bad_alloc();
-#else
-    void *p = std::calloc(bytes, 1);
-    if (!p)
-        throw std::bad_alloc();
-#endif
     return p;
 }
 
@@ -56,12 +45,7 @@ zeroedFree(void *p, size_t bytes)
 {
     if (!p)
         return;
-#ifdef MXL_ZEROED_MMAP
     munmap(p, bytes);
-#else
-    (void)bytes;
-    std::free(p);
-#endif
 }
 
 void

@@ -6,9 +6,9 @@
  * Fresh anonymous pages already read as zero, and the kernel faults a
  * page in only when it is first touched. A 32 MiB simulated image of
  * which a run dirties a few hundred KiB therefore costs a few hundred
- * KiB, not a 32 MiB fill. On POSIX the pages come from mmap/munmap and
- * not from calloc: once glibc has freed a large block it raises its
- * mmap threshold and serves later calloc()s of that size from the heap,
+ * KiB, not a 32 MiB fill. The pages come from mmap/munmap and not
+ * from calloc: once glibc has freed a large block it raises its mmap
+ * threshold and serves later calloc()s of that size from the heap,
  * memset included.
  *
  * A copy is fresh storage holding only the source's pages that have a

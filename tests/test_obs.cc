@@ -714,6 +714,13 @@ TEST(BenchCompare, SelfComparisonIsZeroRegression)
     EXPECT_NE(v.report.find("PASS  1 of 1 gate(s) passed"),
               std::string::npos);
     EXPECT_EQ(v.report.find("FAIL"), std::string::npos);
+
+    // A row's options carry every field the engine's cache keys on, so
+    // two requests that differ only in memTagging export apart.
+    RunRequest tagged = grid[0];
+    tagged.opts.hw.memTagging = true;
+    EXPECT_NE(runReportJson(tagged, reports[0]).find("options")->dump(),
+              runReportJson(grid[0], reports[0]).find("options")->dump());
 }
 
 TEST(BenchCompare, DetectsRegressionsMissingAndNewLabels)

@@ -18,10 +18,8 @@
 
 #include <gtest/gtest.h>
 
-#ifdef __unix__
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include "core/engine.h"
 #include "core/experiment.h"
@@ -92,12 +90,6 @@ sandboxOptions()
 }
 
 } // namespace
-
-TEST(Sandbox, SupportedOnThisPlatform)
-{
-    // The rest of the suite forks; this pins the gate it relies on.
-    ASSERT_TRUE(procPoolSupported());
-}
 
 TEST(Sandbox, CampaignMatrixMatchesInProcess)
 {

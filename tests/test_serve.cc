@@ -155,6 +155,24 @@ TEST(Wire, ParseCellResolvesProgramsAndOptions)
     EXPECT_DOUBLE_EQ(wc.request.exec.deadlineSeconds, 1.5);
     EXPECT_EQ(wc.request.exec.backend, Backend::Interpreter);
     EXPECT_FALSE(wc.hasFault);
+
+    Json src = Json::object();
+    src.set("label", "rt");
+    src.set("source", "(print 42)");
+    Json full = Json::object();
+    full.set("scheme", "high6");
+    full.set("checking", "full");
+    src.set("options", std::move(full));
+    src.set("maxCycles", static_cast<uint64_t>(123456));
+    src.set("backend", "translated");
+
+    ASSERT_TRUE(parseCell(src, &wc, &err)) << err;
+    EXPECT_EQ(wc.request.label, "rt");
+    EXPECT_EQ(wc.request.source, "(print 42)");
+    EXPECT_EQ(wc.request.opts.scheme, SchemeKind::High6);
+    EXPECT_EQ(wc.request.opts.checking, Checking::Full);
+    EXPECT_EQ(wc.request.exec.maxCycles, 123456u);
+    EXPECT_EQ(wc.request.exec.backend, Backend::Translated);
 }
 
 TEST(Wire, ParseCellRejectsMalformedInput)
@@ -219,29 +237,6 @@ TEST(Wire, ParseCellArmsFaults)
     ASSERT_TRUE(parseCell(callArg, &wc, &err)) << err;
     EXPECT_EQ(wc.request.hooks.pauseAtCycle, 40u);
     EXPECT_TRUE(wc.request.hooks.needsInterpreter());
-}
-
-TEST(Wire, CellJsonRoundTripsThroughParseCell)
-{
-    RunRequest req;
-    req.label = "rt";
-    req.source = "(print 42)";
-    req.opts.scheme = SchemeKind::High6;
-    req.opts.checking = Checking::Full;
-    req.exec.maxCycles = 123456;
-    req.exec.deadlineSeconds = 2.0;
-    req.exec.backend = Backend::Translated;
-
-    WireCell wc;
-    std::string err;
-    ASSERT_TRUE(parseCell(cellToJson(req), &wc, &err)) << err;
-    EXPECT_EQ(wc.request.label, req.label);
-    EXPECT_EQ(wc.request.source, req.source);
-    EXPECT_EQ(wc.request.opts.scheme, req.opts.scheme);
-    EXPECT_EQ(wc.request.opts.checking, req.opts.checking);
-    EXPECT_EQ(wc.request.exec.maxCycles, req.exec.maxCycles);
-    EXPECT_DOUBLE_EQ(wc.request.exec.deadlineSeconds, 2.0);
-    EXPECT_EQ(wc.request.exec.backend, Backend::Translated);
 }
 
 // ----------------------------------------------------------- admission
@@ -546,6 +541,8 @@ TEST_F(ServeTest, DegradedModeServesInProcess)
     std::string err;
     ASSERT_TRUE(client.health(&health, &err)) << err;
     EXPECT_TRUE(health.find("degraded")->asBool(false));
+    // The breaker opens at exactly its constant, then forks no more.
+    EXPECT_EQ(health.find("spawnFailures")->asInt(-1), kMaxSpawnFailures);
 
     Json report;
     ServeClient::GridOutcome outcome = client.runGrid(
