@@ -298,22 +298,17 @@ Engine::execute(const RunRequest &req)
             }
 
             // Tier selection: a non-Interpreter request runs translated
-            // when the unit translated and no hook needs the
-            // interpreter's seams. Auto falls back (counted + stamped);
-            // an explicit Translated request that cannot be satisfied is
-            // an error.
+            // when the unit translated. Auto falls back (counted +
+            // stamped); an explicit Translated request that cannot be
+            // satisfied is an error.
             const Backend want = req.exec.backend;
             TranslateResult trans;
             std::string note;
             if (want != Backend::Interpreter) {
-                if (req.hooks.needsInterpreter()) {
-                    note = "request hooks need the interpreter's seams";
-                } else {
-                    trans = translation(unit, req.label);
-                    if (!trans.unit)
-                        note = trans.note.empty() ? "translation refused"
-                                                  : trans.note;
-                }
+                trans = translation(unit, req.label);
+                if (!trans.unit)
+                    note = trans.note.empty() ? "translation refused"
+                                              : trans.note;
             }
             const bool useTrans = trans.unit != nullptr;
             rep.backend = useTrans ? Backend::Translated

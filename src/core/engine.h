@@ -78,8 +78,8 @@ struct RunStatus
  * Which execution backend a request runs on.
  *
  * `Auto` is the default tier policy: use the translated backend when
- * the unit translates and the request carries no hook the translated
- * executor lacks a seam for, otherwise fall back to the interpreter
+ * the unit translates, otherwise (the translator refused it: memory
+ * tagging, or a malformed unit) fall back to the interpreter
  * (counted in `engine.backend.fallbacks`, stamped in
  * RunReport::backend). `Interpreter` pins the reference
  * machine/machine.cc path; `Translated` demands the threaded backend
@@ -103,8 +103,8 @@ bool backendFromName(const std::string &name, Backend *out);
 /**
  * How to execute a cell: budget, deadline, backend tier, and the two
  * run knobs both backends honor. Everything here is supported by both
- * execution tiers — a request whose hooks are empty runs translated
- * under `Auto` whenever its unit translates.
+ * execution tiers — a request runs translated under `Auto` whenever
+ * its unit translates.
  */
 struct ExecPolicy
 {
@@ -136,10 +136,8 @@ struct ExecPolicy
 /**
  * The instrumentation and mutation seams of a request. None of these
  * participate in the compiled-unit cache key — requests that differ
- * only in hooks share a compilation. The pause is the one seam into a
- * live run and needs the interpreter, so arming it makes an `Auto`
- * request fall back (see needsInterpreter()); imageMutator,
- * unitTransform and collectProfile work on either backend.
+ * only in hooks share a compilation — and every one works on either
+ * backend, so none of them decides the tier.
  */
 struct Hooks
 {
@@ -159,7 +157,7 @@ struct Hooks
      * the seam of the live-run fault classes (src/faults/: call
      * arguments, heap and stack): unlike imageMutator, the hook sees
      * state the program built at run time, not the pristine image.
-     * Interpreter-only. See RunControls::pauseAtCycle.
+     * Supported by both backends. See RunControls::pauseAtCycle.
      */
     uint64_t pauseAtCycle = 0;
 
@@ -208,12 +206,6 @@ struct Hooks
      * request for that object gets it.
      */
     bool verifyTransformed = true;
-
-    /** True when the pause is armed: only the interpreter has it. */
-    bool needsInterpreter() const
-    {
-        return pauseAtCycle > 0 && static_cast<bool>(pauseHook);
-    }
 };
 
 /** One cell of the measurement grid. */

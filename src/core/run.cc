@@ -9,17 +9,6 @@
 
 namespace mxl {
 
-namespace {
-
-/**
- * Cycle granularity of the wall-clock deadline check: small enough that
- * sub-second deadlines are honored promptly, large enough that the
- * pause/resume bookkeeping is invisible in the simulation rate.
- */
-constexpr uint64_t kDeadlineChunkCycles = 1'000'000;
-
-} // namespace
-
 void
 installTrapHandlers(Machine &m, const CompiledUnit &unit)
 {

@@ -61,7 +61,7 @@ struct RunResult
 
 /**
  * The pause seam: called on a run paused at RunControls::pauseAtCycle
- * with the live machine's whole memory image (word-indexed) and its
+ * with the live run's whole memory image (word-indexed) and its
  * registers, both valid only during the call. Writes to either are
  * what the rest of the run sees; r0 still reads 0 afterwards.
  */
@@ -70,8 +70,15 @@ using PauseHook = std::function<void(std::span<uint32_t> memory,
                                      const CompiledUnit &)>;
 
 /**
- * Execution knobs of both backends (runTranslated refuses an armed
- * pause). The defaults reproduce runUnitOn(unit, image, maxCycles).
+ * Cycle granularity of the wall-clock deadline check on both backends:
+ * small enough that sub-second deadlines are honored promptly, large
+ * enough that the chunking is invisible in the simulation rate.
+ */
+inline constexpr uint64_t kDeadlineChunkCycles = 1'000'000;
+
+/**
+ * Execution knobs of both backends, each honored by both with the same
+ * semantics. The defaults reproduce runUnitOn(unit, image, maxCycles).
  */
 struct RunControls
 {
@@ -79,7 +86,7 @@ struct RunControls
 
     /**
      * Wall-clock budget in seconds; 0 means unlimited. Enforced by
-     * running the machine in fixed cycle chunks (Machine::resume), so a
+     * running in kDeadlineChunkCycles chunks (Machine::resume), so a
      * run that finishes within the deadline has CycleStats identical to
      * an unchunked run. On expiry the result carries
      * `stop == CycleLimit` and `timedOut == true`; the engine surfaces
@@ -99,15 +106,17 @@ struct RunControls
 
     /**
      * Pause the run once its cycle count first exceeds this value
-     * (0 = never), call @p pauseHook on the paused machine's memory and
-     * registers, and continue the same machine to maxCycles
-     * (Machine::resume). This is the seam the live-run fault classes
-     * ride (src/faults/): the hook sees the *live* state at cycle N,
-     * the run-time heap, stack and registers included, not the pristine
-     * image. A run that stops before the pause point never calls the
-     * hook. Without a hook the pause is skipped entirely; with one that
-     * writes nothing, a completed run is cycle-identical to an unpaused
-     * run of the same request (tests/test_faults.cc).
+     * (0 = never), call @p pauseHook on the paused run's memory and
+     * registers, and continue the same run to maxCycles. This is the
+     * seam the live-run fault classes ride (src/faults/): the hook sees
+     * the *live* state at cycle N, the run-time heap, stack and
+     * registers included, not the pristine image. A run that stops
+     * before the pause point never calls the hook. Without a hook, or
+     * at or past maxCycles, the pause is skipped entirely; with a hook
+     * that writes nothing, a completed run is cycle-identical to an
+     * unpaused run of the same request (tests/test_faults.cc). Both
+     * backends stop at the same cycle and hand the hook the same state
+     * (tests/test_backend.cc).
      */
     uint64_t pauseAtCycle = 0;
 

@@ -17,16 +17,19 @@
  * before every instruction, delay-slot and squash step, the interlock
  * charged to the stalled reader, squashed cycles charged to the branch.
  * In both modes traps charge before redirecting, and Div/Rem/memory
- * errors stop before any register or memory write. At run end the
- * block counts, minus each group's squashed slots and the unexecuted
- * tail of a block the run stopped in, plus the counted path's
- * per-index counts, fold into a CycleStats; an assertion checks the
- * rebuilt total against the live cycle counter on every run.
+ * errors stop before any register or memory write. An armed pause is
+ * one more budget edge: the counted guard that passes it hands the hook
+ * the live image and a copy of the registers, then runs again. At run
+ * end the block counts, minus each group's squashed slots and the
+ * unexecuted tail of a block the run stopped in, plus the counted
+ * path's per-index counts, fold into a CycleStats; an assertion checks
+ * the rebuilt total against the live cycle counter on every run.
  */
 
 #include "exec/texec.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iterator>
 #include <memory>
@@ -39,9 +42,6 @@
 namespace mxl {
 
 namespace {
-
-/** Must match core/run.cc's deadline chunking. */
-constexpr uint64_t kDeadlineChunkCycles = 1'000'000;
 
 /**
  * Re-raise an executor panic with the same context suffix
@@ -64,6 +64,17 @@ contextPanic(const Program &prog, int pc, uint64_t cycle,
 /** No load-interlock register pending (a shift that reads bit 32 of a
  *  32-bit read mask, which is always clear). */
 constexpr unsigned kNoPend = 32;
+
+/** The counted guards a pause can resume at: the one before the next
+ *  step, or one of the four inside a counted control group. */
+enum class Resume
+{
+    Step,
+    Squash1,
+    Squash2,
+    Slot1,
+    Slot2,
+};
 
 /** Per-run block counters. */
 struct BlockCounts
@@ -399,14 +410,24 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     const uint32_t memMask = tu.memMask;
     const unsigned dataBits = tu.dataBits;
 
-    // Budget: effLimit == maxCycles without a deadline; with one, the
-    // run pauses every kDeadlineChunkCycles to poll the wall clock,
-    // exactly like runUnitOn()'s Machine::resume chunking.
+    // Budget edges: the cycle limit; with a deadline, a wall-clock
+    // poll every kDeadlineChunkCycles, exactly like runUnitOn()'s
+    // Machine::resume chunking; and an armed pause, which runUnitOn()
+    // arms on the same condition. effLimit is the nearest edge.
     const uint64_t maxCycles = controls.maxCycles;
     const bool deadlined = controls.deadlineSeconds > 0;
+    const uint64_t pauseAt = controls.pauseAtCycle;
+    bool pauseArmed =
+        controls.pauseHook && pauseAt > 0 && pauseAt < maxCycles;
+    bool paused = false;
     const auto start = std::chrono::steady_clock::now();
-    uint64_t effLimit =
-        deadlined ? std::min(maxCycles, kDeadlineChunkCycles) : maxCycles;
+    auto nextEdge = [&] {
+        const uint64_t e =
+            deadlined ? std::min(maxCycles, cycles + kDeadlineChunkCycles)
+                      : maxCycles;
+        return pauseArmed ? std::min(e, pauseAt) : e;
+    };
+    uint64_t effLimit = nextEdge();
 
     StopReason stop = StopReason::Running;
     int64_t errorCode = 0;
@@ -417,33 +438,44 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
     const TranslatedOp *stopAt = nullptr; // the op a stop happened at
     uint32_t tailFrom = 0, tailEnd = 0;   // its block's unexecuted ops
 
-    // True when the run must stop (cycle limit / deadline); false when
-    // only the deadline-poll chunk expired and execution continues.
-    auto overBudget = [&]() -> bool {
+    // Called by the counted guard at @p at once cycles > effLimit. True
+    // when the step cannot go on: the run stops (stop is set), or it
+    // pauses and then resumes at @p at. False when only a deadline poll
+    // came due and found time left. The pause comes first: runUnitOn()
+    // runs the hook at its pause point even when that step also passed
+    // maxCycles, and stops after it.
+    Resume resumeAt = Resume::Step;
+    auto overBudget = [&](Resume at) -> bool {
+        if (pauseArmed && cycles > pauseAt) {
+            pauseArmed = false;
+            resumeAt = at;
+            return true;
+        }
         if (cycles > maxCycles) {
             stop = StopReason::CycleLimit;
             return true;
         }
-        if (std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start)
-                .count() >= controls.deadlineSeconds) {
+        if (deadlined && std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                                 .count() >= controls.deadlineSeconds) {
             timedOut = true;
             stop = StopReason::CycleLimit;
             return true;
         }
-        effLimit = std::min(maxCycles, cycles + kDeadlineChunkCycles);
+        effLimit = nextEdge();
         return false;
     };
 
 #define IDX(p) static_cast<int>((p) - ops)
 
     // The counted path's loop-top cycle guard: runs before every step,
-    // like runLoop().
-#define BUDGET()                                                            \
+    // like runLoop(). A stop or a pause leaves through budget_edge; a
+    // pause then resumes at guard @p R, the same guard run again.
+#define BUDGET(R)                                                           \
     do {                                                                    \
         if (__builtin_expect(cycles > effLimit, 0)) {                       \
-            if (overBudget())                                               \
-                goto done_CNT;                                              \
+            if (overBudget(Resume::R))                                      \
+                goto budget_edge;                                           \
         }                                                                   \
     } while (0)
 
@@ -475,7 +507,7 @@ coreRun(const CompiledUnit &unit, const TranslatedUnit &tu, Memory &image,
         ip = (nip);                                                         \
         if (ip->handler == &&L_Enter)                                       \
             goto L_Enter;                                                   \
-        BUDGET();                                                           \
+        BUDGET(Step);                                                       \
         goto *const_cast<void *>(counted[ip->kind]);                        \
     } while (0)
 
@@ -552,7 +584,7 @@ L_Enter: {
 counted_entry:
     if (perIndex.empty())
         perIndex.assign(3 * static_cast<size_t>(n), 0);
-    BUDGET();
+    BUDGET(Step);
     goto *const_cast<void *>(counted[ip->kind]);
 
     // ------------------------------------------------------------------
@@ -590,17 +622,21 @@ group_CNT:
         // Two squashed cycles, charged to the branch. The branch's own
         // issue already cleared the load interlock, matching the
         // interpreter's per-squash pendingLoadReg_ reset.
-        BUDGET();
+    squash1:
+        BUDGET(Squash1);
         cycles++;
         SQ(IDX(ip))++;
-        BUDGET();
+    squash2:
+        BUDGET(Squash2);
         cycles++;
         SQ(IDX(ip))++;
     } else {
-        BUDGET();
+    slot1:
+        BUDGET(Slot1);
         ISSUE(ip + 1);
         SLOT(ip + 1, CNT);
-        BUDGET();
+    slot2:
+        BUDGET(Slot2);
         ISSUE(ip + 2);
         SLOT(ip + 2, CNT);
     }
@@ -622,6 +658,37 @@ transfer:
 L_End:
     // Fell off the end of the code (or a trap return landed there).
     contextPanic(unit.prog, n, cycles, strcat("pc out of range: ", n));
+
+budget_edge: {
+    if (stop != StopReason::Running)
+        goto done_CNT;
+    // The one pause site, reached from a counted guard at the
+    // interpreter's exact stop. The hook gets a copy of the registers,
+    // so regs never escapes this function; its edits come back, and r0
+    // reads 0 again, as runUnitOn() re-zeroes it.
+    std::array<uint32_t, 32> live;
+    std::copy_n(regs, live.size(), live.begin());
+    controls.pauseHook(image.words(), live, unit);
+    std::copy_n(live.begin(), live.size(), regs);
+    regs[0] = 0;
+    paused = true;
+    // Back to the guard that paused, which runs again: past maxCycles
+    // it stops the run, as runUnitOn() stops after its hook. The Step
+    // guard is counted_entry's, whose allocation is done by now.
+    switch (resumeAt) {
+      case Resume::Step:
+        break;
+      case Resume::Squash1:
+        goto squash1;
+      case Resume::Squash2:
+        goto squash2;
+      case Resume::Slot1:
+        goto slot1;
+      case Resume::Slot2:
+        goto slot2;
+    }
+    goto counted_entry;
+}
 
 done_BLK:
     // The stopped op's block was charged whole at entry: take back the
@@ -723,6 +790,7 @@ done_CNT: {
     r.exitValue = exitValue;
     r.faultIndex = faultIndex;
     r.timedOut = timedOut;
+    r.paused = paused;
     r.gcCount = image.load(tu.gcCountAddr);
     r.heapUsed = image.load(tu.heapUsedAddr);
     r.profile = std::move(prof);
@@ -778,8 +846,6 @@ RunResult
 runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
               Memory image, const RunControls &controls)
 {
-    if (controls.pauseAtCycle > 0 && controls.pauseHook)
-        panic("the translated backend has no pause seam");
     return coreRun(unit, tu, image, controls, nullptr);
 }
 

@@ -9,9 +9,11 @@
  * The contract is byte-identical equivalence with machine/machine.cc:
  * CycleStats, program output, stop reason, error code, exit value,
  * fault index, the GC cells and the per-PC profile all match the
- * interpreter exactly, for every program the translator accepts
- * (tests/test_backend.cc proves this differentially over the whole
- * benchmark suite and at every cycle-limit stop of short programs).
+ * interpreter exactly, for every program the translator accepts, and
+ * so does the pause: it stops on the interpreter's cycle and hands the
+ * hook the same memory and registers (tests/test_backend.cc proves
+ * this differentially over the whole benchmark suite, at every
+ * cycle-limit stop and every pause point of short programs).
  * Accounting is kept per basic block: entering a block adds its static
  * cycle cost and bumps one counter, and the run-end fold turns the
  * block counts back into the interpreter's per-instruction CycleStats.
@@ -19,13 +21,13 @@
  * of a block, run on per-instruction counted handlers instead.
  *
  * What the backend does NOT support — and why refusal is safe:
- * translateUnit() declines units it cannot prove equivalent (malformed
- * delay-slot structure per analysis::buildCfg, tag-hardware opcodes
- * without the matching HardwareConfig bit, trap-capable ops scheduled
- * into delay slots), and runTranslated() refuses an armed pause
- * (RunControls::pauseAtCycle with a pauseHook). The Engine treats both
- * as tier-fallback conditions: with ExecPolicy::backend == Auto the run
- * transparently drops to the interpreter (core/engine.h).
+ * translateUnit() declines units it cannot prove equivalent (memory
+ * tagging, malformed delay-slot structure per analysis::buildCfg,
+ * tag-hardware opcodes without the matching HardwareConfig bit,
+ * trap-capable ops scheduled into delay slots). The Engine treats a
+ * refusal as its one tier-fallback condition: with
+ * ExecPolicy::backend == Auto the run transparently drops to the
+ * interpreter (core/engine.h).
  */
 
 #ifndef MXLISP_EXEC_TEXEC_H_
@@ -149,8 +151,7 @@ TranslateResult translateUnit(const CompiledUnit &unit);
 /**
  * Execute @p tu (translated from @p unit) on @p image. Semantics and
  * RunResult contents are byte-identical to
- * runUnitOn(unit, image, controls). An armed pause has no seam here:
- * it throws MxlError (Panic), and the Engine never sends one.
+ * runUnitOn(unit, image, controls), the pause included.
  */
 RunResult runTranslated(const CompiledUnit &unit, const TranslatedUnit &tu,
                         Memory image, const RunControls &controls);

@@ -167,11 +167,12 @@ struct CampaignCell
  * for the work outside the run. Workers fork from the process that
  * timed the goldens, so a sanitizer's or a loaded host's slowdown
  * scales both sides. What the rate misses is the tier gap: goldens
- * mostly run translated (1.4–2.5 ns per cycle), while pause, call-arg
- * and memtag trials run on the interpreter (12–21 ns), up to 10.4× one
- * cell's translated rate (bench_faults' ladder, best of 3, 4-vCPU
- * Xeon). 40 is that ~10× gap times 4× load headroom; once every trial
- * runs translated, the tier factor can go.
+ * mostly run translated (1.4–2.5 ns per cycle), while the memtag
+ * configuration's trials run on the interpreter (12–21 ns), up to 10.4×
+ * one cell's translated rate (bench_faults' ladder, best of 3, 4-vCPU
+ * Xeon). 40 is that ~10× gap times 4× load headroom. Pause and call-arg
+ * trials run translated; once memtag trials do too, the tier factor
+ * can go.
  */
 inline constexpr double kWatchdogMargin = 40;
 

@@ -1,8 +1,10 @@
 #include "serve/wire.h"
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <random>
+#include <utility>
 
 #include "faults/fault_injector.h"
 #include "programs/programs.h"
@@ -168,12 +170,20 @@ parseCell(const Json &cell, WireCell *out, std::string *err)
             fieldBool(*options, "fillDelaySlots", o.fillDelaySlots);
         o.overlapChecks =
             fieldBool(*options, "overlapChecks", o.overlapChecks);
-        o.memBytes = static_cast<uint32_t>(
-            fieldUint(*options, "memBytes", o.memBytes));
-        o.staticBytes = static_cast<uint32_t>(
-            fieldUint(*options, "staticBytes", o.staticBytes));
-        o.heapBytes = static_cast<uint32_t>(
-            fieldUint(*options, "heapBytes", o.heapBytes));
+        o.verifyLinked =
+            fieldBool(*options, "verifyLinked", o.verifyLinked);
+        for (auto [key, field] : {std::pair{"memBytes", &o.memBytes},
+                                  {"staticBytes", &o.staticBytes},
+                                  {"heapBytes", &o.heapBytes}}) {
+            if (const Json *v = options->find(key)) {
+                const uint64_t bytes = v->asUint(UINT64_MAX);
+                if (bytes > UINT32_MAX) {
+                    *err = strcat(key, " out of range");
+                    return false;
+                }
+                *field = static_cast<uint32_t>(bytes);
+            }
+        }
     }
 
     req.exec.maxCycles =

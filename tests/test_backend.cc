@@ -8,13 +8,17 @@
  * which the Engine runs translated. On top of the
  * differential matrix this suite pins the trap paths (the software
  * Addt/Subt overflow fallback, handled and unhandled), cycle-limit
- * stops at every cycle of short runs, computed jumps into the middle of
- * a block, the per-PC profile, the Engine's two-tier Auto policy
- * (backend stamping, the fallback counter, pause/resume equivalence
- * across the tier drop), and the translator's refusal diagnostics.
+ * stops and pauses at every cycle of short runs and at seeded pause
+ * points of every program, computed jumps into the middle of a block,
+ * the per-PC profile, the Engine's two-tier Auto policy (backend
+ * stamping, the fallback counter, paused requests staying translated),
+ * and the translator's refusal diagnostics.
  */
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
 
 #include <gtest/gtest.h>
 
@@ -25,6 +29,7 @@
 #include "core/experiment.h"
 #include "core/run.h"
 #include "exec/texec.h"
+#include "faults/fault_injector.h"
 #include "isa/assembler.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
@@ -92,6 +97,20 @@ resultOf(const Machine &m, const CompiledUnit &unit, StopReason stop)
 }
 
 /**
+ * The live prefix of @p unit's image: a run's image expanded from it,
+ * `Memory(unit.layout.memBytes, prefix)`, is the engine's, and costs
+ * no scan of the full image the way copying unit.memory would.
+ */
+Memory
+livePrefix(const CompiledUnit &unit)
+{
+    uint32_t live = unit.layout.staticLimit / 4;
+    while (live > 0 && unit.memory.word(live - 1) == 0)
+        --live;
+    return Memory(live * 4, unit.memory);
+}
+
+/**
  * Interpreter-vs-translated at every cycle limit in [@p from, @p to].
  * The interpreter side is one machine resumed a cycle at a time: a
  * pause is cycle-invisible (Machine::resume), so its stop at limit L is
@@ -105,13 +124,7 @@ sameAtEveryLimit(const CompiledUnit &unit, uint64_t from, uint64_t to)
     if (!tr.unit)
         return ::testing::AssertionFailure()
                << "translation refused: " << tr.note;
-    // Each translated run starts from a fresh image holding the live
-    // prefix, the way the engine expands its cached units: copying the
-    // full image would scan all of it per limit.
-    uint32_t live = unit.layout.staticLimit / 4;
-    while (live > 0 && unit.memory.word(live - 1) == 0)
-        --live;
-    const Memory prefix(live * 4, unit.memory);
+    const Memory prefix = livePrefix(unit);
     Machine m(unit.prog, unit.memory, unit.opts.hw, unit.scheme.get());
     if (unit.opts.hw.genericArith && unit.arithTrap >= 0)
         m.setTrapHandler(TrapKind::ArithFail, unit.arithTrap);
@@ -138,6 +151,54 @@ sameAtEveryLimit(const CompiledUnit &unit, uint64_t from, uint64_t to)
     return ::testing::AssertionSuccess();
 }
 
+/**
+ * Interpreter-vs-translated for one paused run: both tiers run @p rc
+ * with the per-PC profile on and a hook that records the registers it
+ * is handed, then flips the word at sp and the first argument register
+ * and writes r0. The results, the paused flags, the profiles and the
+ * registers the two hooks saw must all be equal.
+ */
+::testing::AssertionResult
+samePausedRun(const CompiledUnit &unit, const TranslatedUnit &tu,
+              const Memory &prefix, RunControls rc)
+{
+    std::array<std::array<uint32_t, 32>, 2> seen{};
+    RunResult r[2];
+    rc.collectProfile = true;
+    for (int tier = 0; tier < 2; ++tier) {
+        rc.pauseHook = [&seen, tier](std::span<uint32_t> memory,
+                                     std::span<uint32_t, 32> regs,
+                                     const CompiledUnit &) {
+            std::ranges::copy(regs, seen[tier].begin());
+            if (regs[mxl::abi::sp] / 4 < memory.size())
+                memory[regs[mxl::abi::sp] / 4] ^= 1;
+            regs[mxl::abi::arg0] ^= 1;
+            regs[0] = ~0u; // reads 0 again after the hook
+        };
+        Memory image(unit.layout.memBytes, prefix);
+        r[tier] = tier == 0
+                      ? runUnitOn(unit, std::move(image), rc)
+                      : runTranslated(unit, tu, std::move(image), rc);
+    }
+    const auto where = [&rc] {
+        return strcat(" (pause ", rc.pauseAtCycle, ", limit ", rc.maxCycles,
+                      ")");
+    };
+    if (::testing::AssertionResult same = sameResult(r[0], r[1]); !same)
+        return same << where();
+    if (r[0].paused != r[1].paused || r[0].timedOut || r[1].timedOut)
+        return ::testing::AssertionFailure()
+               << "paused " << r[0].paused << " vs " << r[1].paused
+               << where();
+    if (seen[0] != seen[1])
+        return ::testing::AssertionFailure()
+               << "the hooks saw different registers" << where();
+    if (r[0].profile->execCount != r[1].profile->execCount ||
+        r[0].profile->cycles != r[1].profile->cycles)
+        return ::testing::AssertionFailure() << "profiles differ" << where();
+    return ::testing::AssertionSuccess();
+}
+
 /** Total cycles of @p unit run to completion on the interpreter. */
 uint64_t
 totalCycles(const CompiledUnit &unit)
@@ -161,6 +222,9 @@ class BackendDifferential : public ::testing::TestWithParam<int>
 
 TEST_P(BackendDifferential, ByteIdenticalAcrossConfigs)
 {
+    // Every config runs whole; baseline Off and Full and the Table 2
+    // rows at Full also run paused at a seeded point, the hooks' edits
+    // included (samePausedRun).
     const auto &bp = benchmarkPrograms()[size_t(GetParam())];
     std::vector<CompilerOptions> configs;
     configs.push_back(baselineOptions(Checking::Off));
@@ -170,11 +234,22 @@ TEST_P(BackendDifferential, ByteIdenticalAcrossConfigs)
         configs.push_back(cfg.withChecking(Checking::Full));
     }
     ASSERT_GE(configs.size(), 16u);
+    FaultRng rng(FaultRng::mix(0x7061757365, uint64_t(GetParam())));
     for (size_t i = 0; i < configs.size(); ++i) {
         CompilerOptions opts = configs[i];
         opts.heapBytes = bp.heapBytes;
         CompiledUnit unit = compileUnit(bp.source, opts);
-        EXPECT_TRUE(differential(unit, bp.maxCycles))
+        RunResult whole;
+        EXPECT_TRUE(differential(unit, bp.maxCycles, &whole))
+            << bp.name << " config #" << i;
+        if (i >= 2 && opts.checking == Checking::Off)
+            continue;
+        ASSERT_TRUE(whole.ok()) << bp.name << " config #" << i;
+        auto tr = translateUnit(unit);
+        RunControls rc;
+        rc.maxCycles = bp.maxCycles;
+        rc.pauseAtCycle = 1 + rng.below(whole.stats.total - 1);
+        EXPECT_TRUE(samePausedRun(unit, *tr.unit, livePrefix(unit), rc))
             << bp.name << " config #" << i;
     }
 }
@@ -294,10 +369,30 @@ TEST(Backend, CycleLimitStopsAreIdentical)
     // (straight-line code, delay slots, squashes, trap, handler and
     // return), at 2,000 consecutive limits deep into one benchmark
     // program per tag-scheme family, and at the deadline's chunk ends.
+    // The pause is one more budget edge: pause at every point of the
+    // short loop, 0-13 cycles before the cycle limit, and with a
+    // deadline armed (samePausedRun).
     for (Checking checking : {Checking::Off, Checking::Full}) {
         CompiledUnit unit = compileUnit(kLoop, baselineOptions(checking));
-        EXPECT_TRUE(sameAtEveryLimit(unit, 0, totalCycles(unit) + 2))
+        const uint64_t total = totalCycles(unit);
+        EXPECT_TRUE(sameAtEveryLimit(unit, 0, total + 2))
             << "kLoop checking " << int(checking);
+
+        auto tr = translateUnit(unit);
+        ASSERT_TRUE(tr.unit) << tr.note;
+        const Memory prefix = livePrefix(unit);
+        RunControls rc;
+        for (rc.pauseAtCycle = 1; rc.pauseAtCycle <= total + 2;
+             ++rc.pauseAtCycle)
+            ASSERT_TRUE(samePausedRun(unit, *tr.unit, prefix, rc))
+                << "kLoop checking " << int(checking);
+        for (rc.maxCycles = total / 2; rc.maxCycles < total / 2 + 32;
+             ++rc.maxCycles)
+            for (uint64_t before = 0; before <= 13; ++before) {
+                rc.pauseAtCycle = rc.maxCycles - before;
+                ASSERT_TRUE(samePausedRun(unit, *tr.unit, prefix, rc))
+                    << "kLoop checking " << int(checking);
+            }
     }
 
     CompilerOptions arith;
@@ -338,6 +433,13 @@ TEST(Backend, CycleLimitStopsAreIdentical)
     EXPECT_EQ(a.stop, StopReason::Halted);
     EXPECT_FALSE(b.timedOut);
     EXPECT_TRUE(sameResult(a, b)) << "deadline chunks";
+    const Memory prefix = livePrefix(unit);
+    for (uint64_t at : {kDeadlineChunkCycles - 1, kDeadlineChunkCycles,
+                        kDeadlineChunkCycles * 5 / 2}) {
+        rc.pauseAtCycle = at;
+        EXPECT_TRUE(samePausedRun(unit, *tr.unit, prefix, rc))
+            << "pause across deadline chunks";
+    }
 }
 
 /** @p unit with its program replaced by the assembled @p text, entered
@@ -529,8 +631,7 @@ TEST(Backend, AutoFallbackStampsAndCounts)
     uint64_t before = fallbacks.value();
 
     RunRequest req = request(kLoop, Checking::Full);
-    req.hooks.pauseAtCycle = 100; // the interpreter-only seam
-    req.hooks.pauseHook = [](auto, auto, const CompiledUnit &) {};
+    req.opts.hw.memTagging = true; // the translator refuses it
     req.hooks.collectProfile = true;
     RunReport rep = eng.run(req);
     ASSERT_TRUE(rep.ok()) << rep.status.message;
@@ -547,8 +648,7 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
     Engine eng(1);
     RunRequest req = request(kLoop, Checking::Off);
     req.exec.backend = Backend::Translated;
-    req.hooks.pauseAtCycle = 100;
-    req.hooks.pauseHook = [](auto, auto, const CompiledUnit &) {};
+    req.opts.hw.memTagging = true;
     req.hooks.collectProfile = true;
     RunReport rep = eng.run(req);
     EXPECT_FALSE(rep.ok());
@@ -558,26 +658,11 @@ TEST(Backend, ExplicitTranslatedRefusesInterpreterSeams)
         << rep.status.message;
 }
 
-TEST(Backend, RunTranslatedRefusesAnArmedPause)
+TEST(Backend, PausedAutoRequestRunsTranslated)
 {
-    // The translated executor has no pause seam: handed an armed pause
-    // directly, it refuses instead of running past the hook.
-    CompiledUnit unit = compileUnit(kLoop, baselineOptions(Checking::Off));
-    auto tr = translateUnit(unit);
-    ASSERT_TRUE(tr.unit) << tr.note;
-    RunControls rc;
-    rc.pauseHook = [](auto, auto, const CompiledUnit &) {};
-    EXPECT_TRUE(runTranslated(unit, *tr.unit, unit.memory, rc).ok());
-    rc.pauseAtCycle = 100;
-    EXPECT_THROW(runTranslated(unit, *tr.unit, unit.memory, rc), MxlError);
-}
-
-TEST(Backend, FallbackPreservesPauseResumeSemantics)
-{
-    // A pause request drops the cell to the interpreter tier; the
-    // resulting run must still be byte-identical to the translated run
-    // of the same cell: the tier fallback composes with the invariant
-    // that a pause whose hook writes nothing is invisible.
+    // An armed pause does not decide the tier: the paused Auto request
+    // runs translated, with no fallback, and a pause whose hook writes
+    // nothing leaves it byte-identical to the plain run.
     Engine eng(1);
     RunRequest plain = request(kLoop, Checking::Full);
     RunReport t = eng.run(plain);
@@ -592,8 +677,8 @@ TEST(Backend, FallbackPreservesPauseResumeSemantics)
     };
     RunReport p = eng.run(paused);
     ASSERT_TRUE(p.ok()) << p.status.message;
-    EXPECT_EQ(p.backend, Backend::Interpreter);
-    EXPECT_TRUE(p.backendFellBack);
+    EXPECT_EQ(p.backend, Backend::Translated);
+    EXPECT_FALSE(p.backendFellBack) << p.backendNote;
     EXPECT_TRUE(hooked);
     EXPECT_TRUE(p.result.paused);
     EXPECT_TRUE(sameResult(t.result, p.result));
@@ -680,14 +765,17 @@ TEST(Backend, GridMixesBackendsDeterministically)
 {
     // One grid with Auto, pinned-interpreter, and fallback cells: the
     // reports must carry per-cell backend stamps and identical stats.
+    // The fallback cell (memory tagging) is compared with the same cell
+    // pinned to the interpreter.
     Engine eng(2);
-    std::vector<RunRequest> reqs(3, request(kLoop, Checking::Full));
+    std::vector<RunRequest> reqs(4, request(kLoop, Checking::Full));
     reqs[1].exec.backend = Backend::Interpreter;
-    reqs[2].hooks.pauseAtCycle = 100;
-    reqs[2].hooks.pauseHook = [](auto, auto, const CompiledUnit &) {};
+    reqs[2].opts.hw.memTagging = true;
     reqs[2].hooks.collectProfile = true;
+    reqs[3] = reqs[2];
+    reqs[3].exec.backend = Backend::Interpreter;
     auto reps = eng.runGrid(reqs);
-    ASSERT_EQ(reps.size(), 3u);
+    ASSERT_EQ(reps.size(), 4u);
     for (const auto &r : reps)
         ASSERT_TRUE(r.ok()) << r.status.message;
     EXPECT_EQ(reps[0].backend, Backend::Translated);
@@ -695,7 +783,7 @@ TEST(Backend, GridMixesBackendsDeterministically)
     EXPECT_EQ(reps[2].backend, Backend::Interpreter);
     EXPECT_TRUE(reps[2].backendFellBack);
     EXPECT_TRUE(sameResult(reps[0].result, reps[1].result));
-    EXPECT_TRUE(sameResult(reps[0].result, reps[2].result));
+    EXPECT_TRUE(sameResult(reps[2].result, reps[3].result));
 }
 
 // ---------------------------------------------------------------------

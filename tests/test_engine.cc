@@ -187,6 +187,42 @@ TEST(Engine, CompileErrorsAreReportedNotThrown)
     EXPECT_EQ(again.status.message, rep.status.message);
 }
 
+TEST(Engine, LayoutsThatWrapDoNotFit)
+{
+    // Layouts whose regions pass the 32-bit address space, a heap that
+    // wraps past the image, a heap base that wraps to 0, an image whose
+    // word count wraps to 0, and a static area too small for the root
+    // list, fail the compile with the layout diagnostic.
+    Engine eng(1);
+    const auto layout = [](uint32_t mem, uint32_t stat, uint32_t heap) {
+        CompilerOptions o = baselineOptions(Checking::Off);
+        o.memBytes = mem;
+        o.staticBytes = stat;
+        o.heapBytes = heap;
+        return o;
+    };
+    const CompilerOptions dflt;
+    const CompilerOptions layouts[] = {
+        layout(dflt.memBytes, dflt.staticBytes, 1u << 31),
+        layout(dflt.memBytes, dflt.staticBytes, 0x7FFFF000u),
+        layout(dflt.memBytes, 0xFFFFFFF9u, dflt.heapBytes),
+        layout(0xFFFFFFFFu, dflt.staticBytes, dflt.heapBytes),
+        layout(dflt.memBytes, 0x1000u, dflt.heapBytes),
+    };
+    for (const CompilerOptions &opts : layouts) {
+        RunRequest req;
+        req.source = "(print (cons 1 2))";
+        req.opts = opts;
+        RunReport rep = eng.run(req);
+        SCOPED_TRACE(opts.describe());
+        EXPECT_EQ(rep.status.code, RunStatus::Code::CompileError)
+            << rep.status.message;
+        EXPECT_NE(rep.status.message.find("memory layout does not fit"),
+                  std::string::npos)
+            << rep.status.message;
+    }
+}
+
 TEST(Engine, GridSurvivesMixedGoodAndBadCells)
 {
     Engine eng(2);

@@ -216,7 +216,6 @@ TEST(FaultInjector, CallArgTypeArmsThePause)
     EXPECT_FALSE(static_cast<bool>(req.hooks.imageMutator));
     EXPECT_TRUE(static_cast<bool>(req.hooks.pauseHook));
     EXPECT_EQ(req.hooks.pauseAtCycle, 250u);
-    EXPECT_TRUE(req.hooks.needsInterpreter());
     EXPECT_EQ(spec.describe(), "call-arg-type(seed=3,pause=250)");
 }
 
@@ -1041,7 +1040,8 @@ TEST(Snapshot, SeededPausePointsAcrossAllProgramsAndConfigs)
 {
     // At seeded pause points of all ten benchmark programs, unchecked
     // and on the full checked-memory hardware rung, a pause whose hook
-    // writes nothing leaves the run identical to the unpaused run.
+    // writes nothing leaves the run identical to the unpaused run, on
+    // either tier.
     const CompilerOptions configs[2] = {uncheckedOpts(), checkedAllOpts()};
     FaultRng rng(0x534E4150); // "SNAP"
     Engine eng(1);
@@ -1063,12 +1063,18 @@ TEST(Snapshot, SeededPausePointsAcrossAllProgramsAndConfigs)
                     1 + rng.below(whole.result.stats.total - 1);
                 paused.hooks.pauseHook = [](auto, auto,
                                             const CompiledUnit &) {};
-                SCOPED_TRACE(p.name + " pause " +
-                             std::to_string(paused.hooks.pauseAtCycle));
-                RunReport rep = eng.run(paused);
-                ASSERT_TRUE(rep.status.ok()) << rep.status.message;
-                EXPECT_TRUE(rep.result.paused);
-                EXPECT_TRUE(sameResult(rep.result, whole.result));
+                for (Backend tier :
+                     {Backend::Interpreter, Backend::Translated}) {
+                    paused.exec.backend = tier;
+                    SCOPED_TRACE(p.name + " pause " +
+                                 std::to_string(paused.hooks.pauseAtCycle) +
+                                 " " + backendName(tier));
+                    RunReport rep = eng.run(paused);
+                    ASSERT_TRUE(rep.status.ok()) << rep.status.message;
+                    EXPECT_EQ(rep.backend, tier);
+                    EXPECT_TRUE(rep.result.paused);
+                    EXPECT_TRUE(sameResult(rep.result, whole.result));
+                }
             }
         }
     }
@@ -1519,11 +1525,10 @@ TEST(Campaign, TrialRecordsCarryCyclesAndResolvedBackend)
 
 TEST(Campaign, AutoTierMatchesInterpreterTier)
 {
-    // The satellite regression: a campaign run under Backend::Auto
-    // (translated where possible, interpreter where a hook demands it)
-    // must produce golden and faulted classifications identical to an
-    // interpreter-only run — tier selection is a performance decision,
-    // never a semantic one.
+    // A campaign run under Backend::Auto (translated wherever the unit
+    // translates, the paused stack trials included) must produce golden
+    // and faulted classifications identical to an interpreter-only run
+    // — tier selection is a performance decision, never a semantic one.
     Campaign c = smallCampaign();
     c.classes = {FaultClass::TagCorrupt, FaultClass::BitFlip,
                  FaultClass::StackTagCorrupt};
@@ -1556,6 +1561,6 @@ TEST(Campaign, AutoTierMatchesInterpreterTier)
     }
     EXPECT_EQ(ri.renderMatrix(), ra.renderMatrix());
     // The differential has teeth only if Auto actually promoted some
-    // trials (image-mutator classes carry no interpreter-only hook).
+    // trials.
     EXPECT_GT(translated, 0);
 }

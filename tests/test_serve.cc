@@ -38,6 +38,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/engine.h"
+#include "core/report.h"
 #include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -173,6 +175,31 @@ TEST(Wire, ParseCellResolvesProgramsAndOptions)
     EXPECT_EQ(wc.request.opts.checking, Checking::Full);
     EXPECT_EQ(wc.request.exec.maxCycles, 123456u);
     EXPECT_EQ(wc.request.exec.backend, Backend::Translated);
+
+    // Every field off its default survives compilerOptionsJson and the
+    // decoder: cacheKey serialises every field, so a field the encoder
+    // writes and the decoder drops changes the key.
+    CompilerOptions every;
+    every.scheme = SchemeKind::Low3;
+    every.checking = Checking::Full;
+    every.arithMode = ArithMode::ForceDispatch;
+    every.hw.ignoreTagOnMemory = true;
+    every.hw.branchOnTag = true;
+    every.hw.genericArith = true;
+    every.hw.checkedMemory = CheckedMem::All;
+    every.hw.memTagging = true;
+    every.fillDelaySlots = false;
+    every.overlapChecks = true;
+    every.verifyLinked = true;
+    every.memBytes = 16u << 20;
+    every.staticBytes = 2u << 20;
+    every.heapBytes = 1u << 20;
+    Json all = Json::object();
+    all.set("source", "(print 42)");
+    all.set("options", compilerOptionsJson(every));
+    ASSERT_TRUE(parseCell(all, &wc, &err)) << err;
+    EXPECT_EQ(Engine::cacheKey("", wc.request.opts),
+              Engine::cacheKey("", every));
 }
 
 TEST(Wire, ParseCellRejectsMalformedInput)
@@ -196,6 +223,15 @@ TEST(Wire, ParseCellRejectsMalformedInput)
     badScheme.set("options", std::move(o));
     EXPECT_FALSE(parseCell(badScheme, &wc, &err));
 
+    // 2^32 + 2^25 would truncate to the default 32 MiB image.
+    Json wideMem = Json::object();
+    wideMem.set("source", "(exit 0)");
+    Json wide = Json::object();
+    wide.set("memBytes", static_cast<uint64_t>(4328521728ull));
+    wideMem.set("options", std::move(wide));
+    EXPECT_FALSE(parseCell(wideMem, &wc, &err));
+    EXPECT_NE(err.find("memBytes"), std::string::npos) << err;
+
     EXPECT_FALSE(parseCell(Json("not an object"), &wc, &err));
 }
 
@@ -212,8 +248,7 @@ TEST(Wire, ParseCellArmsFaults)
     std::string err;
     ASSERT_TRUE(parseCell(cell, &wc, &err)) << err;
     EXPECT_TRUE(wc.hasFault);
-    EXPECT_TRUE(static_cast<bool>(wc.request.hooks.imageMutator) ||
-                wc.request.hooks.needsInterpreter());
+    EXPECT_TRUE(static_cast<bool>(wc.request.hooks.imageMutator));
 
     // A live-run class without a pause cycle is rejected, not
     // silently armed as a no-op.
@@ -236,7 +271,7 @@ TEST(Wire, ParseCellArmsFaults)
     callArg.set("fault", std::move(callFault));
     ASSERT_TRUE(parseCell(callArg, &wc, &err)) << err;
     EXPECT_EQ(wc.request.hooks.pauseAtCycle, 40u);
-    EXPECT_TRUE(wc.request.hooks.needsInterpreter());
+    EXPECT_TRUE(static_cast<bool>(wc.request.hooks.pauseHook));
 }
 
 // ----------------------------------------------------------- admission
